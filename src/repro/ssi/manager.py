@@ -22,6 +22,7 @@ Implements sections 3-6 of the paper:
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.config import SSIConfig
@@ -39,6 +40,14 @@ from repro.ssi.targets import (heap_write_targets, index_inf_target,
 from repro.storage.tuple import TID
 
 Participant = Union[SerializableXact, SummaryPseudoXact]
+
+
+def _in_xid_order(sxacts) -> List[SerializableXact]:
+    """``sxacts`` in xid order. SerializableXact hashes by identity, so
+    a set iterates in memory-address order; every loop whose first hit
+    can choose a victim walks this order instead, keeping abort
+    decisions (and the figures) independent of allocation history."""
+    return sorted(sxacts, key=attrgetter("xid"))
 
 
 class SSIStats(StatsView):
@@ -465,7 +474,7 @@ class SSIManager:
                       holders: Set[SerializableXact],
                       summary_seq: Optional[float],
                       site: Optional[Tuple] = None) -> None:
-        for holder in holders:
+        for holder in _in_xid_order(holders):
             if holder is writer or holder.aborted:
                 continue
             self._flag_rw_conflict(holder, writer, actor=writer, site=site)
@@ -565,7 +574,7 @@ class SSIManager:
     def _check_pivot_as_t2(self, t2: SerializableXact, t3_seq: float,
                            actor: SerializableXact) -> None:
         """T2 as pivot with a known committed T3: try every T1."""
-        for t1 in list(t2.in_conflicts):
+        for t1 in _in_xid_order(t2.in_conflicts):
             if t1 is t2:
                 continue
             self._maybe_fail(t1, t2, t3_seq, actor)
@@ -671,15 +680,16 @@ class SSIManager:
         self.ensure_not_doomed(sx, at="commit")
         if self.config.conflict_tracking == "flags":
             return  # flags mode resolves everything at edge time
-        for pivot in list(sx.in_conflicts):
+        for pivot in _in_xid_order(sx.in_conflicts):
             if pivot.aborted:
                 continue
             if pivot.committed and self.config.commit_ordering_opt:
                 # The pivot committed before us: we are not the first
                 # committer of that structure.
                 continue
-            candidates: List[Participant] = [t1 for t1 in pivot.in_conflicts
-                                             if t1 is not pivot]
+            candidates: List[Participant] = [
+                t1 for t1 in _in_xid_order(pivot.in_conflicts)
+                if t1 is not pivot]
             if pivot.summary_in_max_seq is not None:
                 candidates.append(SummaryPseudoXact(pivot.summary_in_max_seq))
             for t1 in candidates:
