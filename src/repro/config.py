@@ -67,14 +67,12 @@ class SSIConfig:
     conflict_tracking: str = "full"
 
     # Read fast paths (performance layer; see DESIGN.md) ----------------
-    #: Skip SIREAD acquisition and rw-conflict bookkeeping for a tuple
-    #: read already covered by a page- or relation-granularity SIREAD
-    #: lock this transaction holds, and memoize the MVCC conflict-out
-    #: check per (reader, writer xid) pair. Both are pure shortcuts:
-    #: the covered acquisition would be a no-op and the repeated
-    #: conflict-out check would hit the existing-edge early return.
-    #: Automatically disabled while event tracing is active so traces
-    #: stay complete.
+    #: Skip SIREAD acquisition for a tuple read already covered by a
+    #: page- or relation-granularity SIREAD lock this transaction
+    #: holds: the covered acquisition would dedupe and return. The
+    #: skipped call's work unit is still charged, so simulated figures
+    #: are the same either way. Automatically disabled while event
+    #: tracing is active so traces stay complete.
     siread_fast_path: bool = True
 
 

@@ -221,9 +221,6 @@ class Executor:
         vismap = rel.heap.vismap
         stats = db.stats
         ssi = db.ssi
-        #: Counter equivalence: the per-tuple path only counts fastpath
-        #: hits for transactions that reach the fast-path check at all.
-        counting = sx is not None and not sx.ro_safe
         match = compile_batch_filter(pred)
         index, rng = self._plan_index(rel, pred)
         if index is not None:
@@ -333,7 +330,9 @@ class Executor:
                     # this window's counters match the per-tuple path's
                     # eager increments (done == len(live) on success).
                     stats.tuples_read += done
-                    if skipped and counting:
+                    # Only reads on_read_tuple would have handled count
+                    # (a snapshot proven safe mid-scan makes them no-ops).
+                    if skipped and sx is not None and not sx.ro_safe:
                         ssi.note_fastpath_hits(skipped)
                 collect(page_hits)
         return out

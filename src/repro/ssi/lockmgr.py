@@ -105,8 +105,8 @@ class SIReadLockManager:
 
         O(1) via the coverage cache; used by the reader fast path to
         skip acquire_tuple entirely (which would dedupe-and-return
-        anyway). Deliberately does not touch ``work_units`` -- the whole
-        point is to model the avoided work.
+        anyway). Does not touch ``work_units``: the caller charges the
+        skipped acquisitions (SSIManager.note_fastpath_hits).
         """
         cover = self._cover.get(sx)
         return cover is not None and (rel_oid in cover[0]

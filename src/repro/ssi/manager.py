@@ -97,7 +97,6 @@ class SSIManager:
                                 and self._tracer is None)
         self._fastpath_hits = self.obs.metrics.counter(
             "perf.siread_fastpath_hits")
-        self._memo_hits = self.obs.metrics.counter("perf.conflict_memo_hits")
         #: ssi.aborts{cause=...}: serialization failures by cause.
         self._abort_counters = {
             cause: self.obs.metrics.counter("ssi.aborts", cause=cause.value)
@@ -270,7 +269,7 @@ class SSIManager:
             # return, and there is no conflict to flag. Skip the whole
             # call (doom still fails fast, as at any other operation).
             self.ensure_not_doomed(sx)
-            self._fastpath_hits.inc()
+            self.note_fastpath_hits(1)
             return
         self.ensure_not_doomed(sx)
         site = None
@@ -316,8 +315,13 @@ class SSIManager:
         return False
 
     def note_fastpath_hits(self, n: int) -> None:
-        """Batch-count reads skipped via read_page_covered (keeps the
-        perf.siread_fastpath_hits counter meaningful either way)."""
+        """Account for ``n`` covered reads the fast path skipped.
+
+        Charges the work unit per read that the skipped acquire_tuple
+        would have charged on finding the covering lock, so the
+        simulated cost model sees the same bookkeeping with the fast
+        path on or off, and counts perf.siread_fastpath_hits."""
+        self.lockmgr.work_units += n
         self._fastpath_hits.inc(n)
 
     def on_scan_relation(self, sx: Optional[SerializableXact],
@@ -367,18 +371,6 @@ class SSIManager:
                              writer_xid: int,
                              site: Optional[Tuple] = None) -> None:
         """The reader saw MVCC evidence of a concurrent writer."""
-        if self.config.siread_fast_path:
-            # Per-(reader, writer-xid) memo: a repeat sighting of the
-            # same writer xid is a no-op -- a live writer's edge is
-            # already in out_conflicts (the dedupe below), an aborted
-            # writer's evidence vanishes with its tuples, and a
-            # summarized writer's consolidated edge was recorded (and
-            # its pivot checks run) on the first sighting; later commits
-            # re-examine pivots at precommit, not here (section 5.3).
-            if writer_xid in reader.conflict_out_memo:
-                self._memo_hits.inc()
-                return
-            reader.conflict_out_memo.add(writer_xid)
         top = self.clog.top_level_of(writer_xid)
         writer = self._by_xid.get(top)
         if writer is reader:

@@ -44,7 +44,6 @@ class SerializableXact:
         "aborted", "doomed", "wrote_data", "ro_safe", "ro_unsafe",
         "possible_unsafe_conflicts", "watching_ros", "flag_conflict_in",
         "flag_conflict_out", "locks_released", "sub_xids", "doom_info",
-        "conflict_out_memo",
     )
 
     def __init__(self, xid: int, snapshot: Snapshot, snapshot_seq: int,
@@ -102,9 +101,6 @@ class SerializableXact:
         self.flag_conflict_in = False
         self.flag_conflict_out = False
 
-        #: Writer xids already routed through _conflict_out_to_xid for
-        #: this reader (fast-path memo; see SSIConfig.siread_fast_path).
-        self.conflict_out_memo: Set[int] = set()
         #: SIREAD locks already dropped by post-commit cleanup.
         self.locks_released = False
         #: Subtransaction xids (for old_serxid registration on summary).

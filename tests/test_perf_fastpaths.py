@@ -394,34 +394,6 @@ class TestSSIFastPath:
         assert counter.value > before
         reader.commit()
 
-    def test_conflict_memo_counts_and_preserves_outcome(self):
-        def run(fast):
-            db = Database(config(fast))
-            db.create_table("t", ["k", "v"], key="k")
-            s = db.session()
-            for k in range(6):
-                s.insert("t", {"k": k, "v": 0})
-            writer = db.session()
-            writer.begin(SER)
-            writer.update("t", Eq("k", 0), {"v": 1})
-            writer.update("t", Eq("k", 1), {"v": 1})
-            reader = db.session()
-            reader.begin(SER)
-            rows = reader.select("t")  # sees the same writer twice
-            memo = db.obs.metrics.counter("perf.conflict_memo_hits").value
-            rows2 = reader.select("t")
-            memo2 = db.obs.metrics.counter("perf.conflict_memo_hits").value
-            writer.commit()
-            reader.commit()
-            return (sorted(r["v"] for r in rows),
-                    sorted(r["v"] for r in rows2),
-                    memo2 > memo if fast else memo2 == memo == 0)
-
-        fast = run(True)
-        slow = run(False)
-        assert fast[0] == slow[0] and fast[1] == slow[1]
-        assert fast[2] and slow[2]
-
 
 # ----------------------------------------------------------------------
 # toggles off == seed behaviour
@@ -468,7 +440,6 @@ class TestTogglesOff:
         assert m.counter("perf.hint_hits").value == 0
         assert m.counter("perf.vismap_skips").value == 0
         assert m.counter("perf.siread_fastpath_hits").value == 0
-        assert m.counter("perf.conflict_memo_hits").value == 0
         assert len(db.relation("t").heap.vismap) == 0
         for tup in all_tuples(db):
             assert not (tup.xmin_committed or tup.xmin_aborted
