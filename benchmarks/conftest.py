@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence
 
 import pytest
 
-from repro.config import DurabilityConfig, EngineConfig, PerfConfig, SSIConfig
+from repro.config import DurabilityConfig, EngineConfig, SSIConfig
 from repro.engine.database import Database
 from repro.engine.isolation import IsolationLevel
 from repro.workloads.base import Workload, run_workload
@@ -30,25 +30,14 @@ _METRIC_DELTAS: Dict[tuple, object] = {}
 
 
 def _config(series: str, disk_bound: bool = False) -> EngineConfig:
-    # The figure benchmarks compare *simulated* mechanism costs, so the
-    # SIREAD fast paths are pinned off: they skip exactly the per-read
-    # bookkeeping work these series exist to measure (wall-clock effect
-    # of the fast paths is benchmarks/perf/run.py's job instead).
     if series == "SSI (no r/o opt.)":
-        ssi = SSIConfig(read_only_opt=False, safe_snapshots=False,
-                        siread_fast_path=False)
+        ssi = SSIConfig(read_only_opt=False, safe_snapshots=False)
     elif series == "SSI (flags)":
-        ssi = SSIConfig(conflict_tracking="flags", siread_fast_path=False)
+        ssi = SSIConfig(conflict_tracking="flags")
     else:
-        ssi = SSIConfig(siread_fast_path=False)
-    # The cost planner and plan cache are likewise pinned off: the
-    # figure series never run ANALYZE (so both would be no-ops today),
-    # but pinning keeps the simulated page/tuple counts byte-stable
-    # even if statistics collection ever becomes automatic.
-    perf = PerfConfig(cost_planner=False, plan_cache=False)
+        ssi = SSIConfig()
     if disk_bound:
-        cfg = EngineConfig.disk_bound(io_miss=10.0, buffer_pages=96, ssi=ssi,
-                                      perf=perf)
+        cfg = EngineConfig.disk_bound(io_miss=10.0, buffer_pages=96, ssi=ssi)
         # The disk configuration does *real* IO too: the durability
         # layer writes pages and WAL underneath the simulated cost
         # model. fsync stays off (the simulated scheduler serializes
@@ -59,7 +48,7 @@ def _config(series: str, disk_bound: bool = False) -> EngineConfig:
             enabled=True, data_dir=tempfile.mkdtemp(prefix="repro-bench-"),
             fsync=False, max_dirty_pages=96, checkpoint_wal_bytes=1 << 20)
     else:
-        cfg = EngineConfig(ssi=ssi, perf=perf)
+        cfg = EngineConfig(ssi=ssi)
     return cfg
 
 

@@ -1,16 +1,19 @@
 #!/usr/bin/env python
-"""Wall-clock microbenchmarks for the performance layer.
+"""Wall-clock benchmarks of the real stack beyond the simulator.
 
-Dependency-free (stdlib only): each benchmark runs the same work twice,
-once with every fast path enabled (hint bits, visibility map, FSM,
-SIREAD fast paths -- the defaults) and once with all of them off (the
-seed code paths), under both SI (REPEATABLE READ) and SSI
-(SERIALIZABLE), and reports wall seconds plus the speedup. Results are
-written as JSON to BENCH_PERF.json at the repo root.
+Dependency-free (stdlib only). Three sections, written as JSON to
+BENCH_PERF.json at the repo root:
 
-Unlike benchmarks/ (which measures *simulated* cost-model ticks), this
-suite measures real Python wall time: the fast paths do not change
-simulated outcomes, they make the interpreter do less work per tuple.
+* ``server``: SIBENCH through the TCP server at 1/4/16 clients
+  (client-side p50/p95/p99 latency and throughput);
+* ``group_commit``: concurrent committers on a durable database with
+  real fsyncs, group commit on vs off;
+* ``fig5b_disk``: the Figure 5(b) disk-bound DBT-2++ point with the
+  durability layer doing real page and WAL IO under the simulated
+  cost model.
+
+The sharding section (``shards``) is written by shard_bench.py. The
+standing end-to-end performance guard is e2ebench/.
 
 Usage:
     python benchmarks/perf/run.py [--quick] [-o OUTPUT.json]
@@ -35,16 +38,12 @@ import tempfile  # noqa: E402
 
 from repro.analysis import ANALYSIS_VERSION  # noqa: E402
 from repro.analysis.sanitize import ENV_FLAG  # noqa: E402
-from repro.config import (DurabilityConfig, EngineConfig,  # noqa: E402
-                          PerfConfig, SSIConfig)
+from repro.config import DurabilityConfig, EngineConfig  # noqa: E402
 from repro.engine.database import Database  # noqa: E402
 from repro.engine.isolation import IsolationLevel  # noqa: E402
-from repro.engine.predicate import And, Eq  # noqa: E402
 from repro.server import ReproServer, ServerConfig, connect  # noqa: E402
 from repro.workloads.base import run_workload  # noqa: E402
 from repro.workloads.dbt2pp import DBT2PP  # noqa: E402
-from repro.workloads.rubis import RubisBidding  # noqa: E402
-from repro.workloads.sibench import SIBench  # noqa: E402
 
 ISOLATION = {
     "SI": IsolationLevel.REPEATABLE_READ,
@@ -52,299 +51,8 @@ ISOLATION = {
 }
 
 
-def make_config(fast: bool) -> EngineConfig:
-    """All fast paths on (the defaults) or all off (seed behaviour).
-
-    The planner toggles (cost_planner / plan_cache / parse_cache) ride
-    with the same switch: the "slow" run is the seed's rule-based,
-    plan-every-statement behaviour.
-    """
-    return EngineConfig(
-        perf=PerfConfig(hint_bits=fast, visibility_map=fast, fsm=fast,
-                        cost_planner=fast, plan_cache=fast,
-                        parse_cache=fast),
-        ssi=SSIConfig(siread_fast_path=fast))
-
-
-def make_db(fast: bool) -> Database:
-    db = Database(make_config(fast))
-    # Sanitizer sweeps are O(heap + lock table) per transaction end and
-    # would silently dominate any wall-clock number.
-    assert db.sanitizers is None, (
-        f"sanitizers are enabled (is {ENV_FLAG} exported?); "
-        f"unset it before benchmarking")
-    return db
-
-
-def _perf_counters(db: Database) -> dict:
-    """The perf.*/planner.* hit counters accumulated by one run."""
-    snap = db.obs.metrics.snapshot().nonzero()
-    return {k: v for k, v in snap.items()
-            if k.startswith(("perf.", "planner."))}
-
-
-def _plan_cache_hit_rate(counters: dict):
-    """Hit rate, or the explicit string "n/a" when the run never
-    touched the plan cache (the toggles-off series) -- a bare JSON
-    null made downstream tooling do None arithmetic."""
-    hits = counters.get("perf.plan_cache_hits", 0)
-    misses = counters.get("perf.plan_cache_misses", 0)
-    return hits / (hits + misses) if hits + misses else "n/a"
-
-
 # ----------------------------------------------------------------------
-# benchmark 1: CLOG-heavy repeated sequential scan
-# ----------------------------------------------------------------------
-def repeated_seq_scan(isolation: IsolationLevel, fast: bool, *,
-                      rows: int, repeats: int) -> dict:
-    """Load ``rows`` rows, each committed by its own transaction (so
-    every tuple has a distinct xid and the unhinted path pays a commit
-    log lookup per tuple per scan), VACUUM once, then time ``repeats``
-    full sequential scans. The predicate matches nothing and the value
-    column has no index, so each scan walks every tuple."""
-    db = make_db(fast)
-    db.create_table("t", ["k", "v"])
-    session = db.session()
-    for k in range(rows):
-        session.begin(isolation)
-        session.insert("t", {"k": k, "v": k})
-        session.commit()
-    db.vacuum()
-    start = time.perf_counter()
-    for _ in range(repeats):
-        session.begin(isolation)
-        session.select("t", Eq("v", -1))
-        session.commit()
-    elapsed = time.perf_counter() - start
-    return {"seconds": elapsed, "rows": rows, "repeats": repeats,
-            "tuples_scanned": rows * repeats,
-            "perf_counters": _perf_counters(db)}
-
-
-# ----------------------------------------------------------------------
-# benchmark 2: insert churn (FSM / free-space reuse)
-# ----------------------------------------------------------------------
-def insert_churn(isolation: IsolationLevel, fast: bool, *,
-                 rows: int, churn_rounds: int) -> dict:
-    """Fill a table, delete every other row (leaving free slots spread
-    over every page), VACUUM, then time rounds of re-inserting and
-    re-deleting that half. Every insert must find a page with room
-    among many partially-full pages -- the FSM's job."""
-    db = make_db(fast)
-    db.create_table("t", ["k", "m"])
-    session = db.session()
-    session.begin(isolation)
-    for k in range(rows):
-        session.insert("t", {"k": k, "m": k % 2})
-    session.commit()
-    session.begin(isolation)
-    session.delete("t", Eq("m", 1))
-    session.commit()
-    db.vacuum()
-    start = time.perf_counter()
-    for _ in range(churn_rounds):
-        session.begin(isolation)
-        for k in range(1, rows, 2):
-            session.insert("t", {"k": k, "m": 1})
-        session.commit()
-        session.begin(isolation)
-        session.delete("t", Eq("m", 1))
-        session.commit()
-        db.vacuum()
-    elapsed = time.perf_counter() - start
-    return {"seconds": elapsed, "rows": rows, "churn_rounds": churn_rounds,
-            "perf_counters": _perf_counters(db)}
-
-
-# ----------------------------------------------------------------------
-# benchmark 3: skewed-selectivity multi-conjunct filter (the planner's
-# showcase: first-sargable picks the wrong index)
-# ----------------------------------------------------------------------
-def skewed_filter(isolation: IsolationLevel, fast: bool, *,
-                  rows: int, queries: int) -> dict:
-    """Point lookups with a two-conjunct predicate where the *first*
-    equality conjunct (grp, 2 distinct values) is far less selective
-    than the second (k, the primary key). The rule-based planner scans
-    half the table through the grp index on every query; the
-    cost-based planner (after ANALYZE) picks the key index and touches
-    one tuple."""
-    db = make_db(fast)
-    db.create_table("t", ["k", "grp", "v"], key="k")
-    db.create_index("t", "grp")
-    session = db.session()
-    session.begin(isolation)
-    for k in range(rows):
-        session.insert("t", {"k": k, "grp": k % 2, "v": k})
-    session.commit()
-    db.vacuum()
-    db.analyze()  # the slow config ignores the stats (planner off)
-    start = time.perf_counter()
-    for i in range(queries):
-        session.begin(isolation)
-        session.select("t", And(Eq("grp", i % 2),
-                                Eq("k", (i * 37) % rows)))
-        session.commit()
-    elapsed = time.perf_counter() - start
-    counters = _perf_counters(db)
-    return {"seconds": elapsed, "rows": rows, "queries": queries,
-            "stats_epoch": db.statscat.epoch,
-            "plan_cache_hit_rate": _plan_cache_hit_rate(counters),
-            "perf_counters": counters}
-
-
-# ----------------------------------------------------------------------
-# benchmarks 4-6: the paper's workloads, wall-clocked
-# ----------------------------------------------------------------------
-def _workload_bench(factory, isolation: IsolationLevel, fast: bool, *,
-                    max_ticks: float, n_clients: int, seed: int = 7) -> dict:
-    db = make_db(fast)
-    start = time.perf_counter()
-    result = run_workload(factory(), isolation=isolation,
-                          n_clients=n_clients, max_ticks=max_ticks,
-                          seed=seed, db=db)
-    elapsed = time.perf_counter() - start
-    counters = _perf_counters(db)
-    return {"seconds": elapsed,
-            "committed": result.commits,
-            "txns_per_ktick": result.throughput,
-            "stats_epoch": db.statscat.epoch,
-            "plan_cache_hit_rate": _plan_cache_hit_rate(counters),
-            "perf_counters": counters}
-
-
-def sibench(isolation: IsolationLevel, fast: bool, *, max_ticks: float,
-            table_size: int) -> dict:
-    return _workload_bench(lambda: SIBench(table_size=table_size),
-                           isolation, fast, max_ticks=max_ticks,
-                           n_clients=4)
-
-
-def dbt2pp(isolation: IsolationLevel, fast: bool, *,
-           max_ticks: float) -> dict:
-    return _workload_bench(lambda: DBT2PP(), isolation, fast,
-                           max_ticks=max_ticks, n_clients=4)
-
-
-def rubis(isolation: IsolationLevel, fast: bool, *,
-          max_ticks: float) -> dict:
-    return _workload_bench(lambda: RubisBidding(), isolation, fast,
-                           max_ticks=max_ticks, n_clients=4)
-
-
-# ----------------------------------------------------------------------
-# benchmarks: vectorized executor series (on vs off; all other fast
-# paths stay at their defaults on both sides, so the delta is the
-# batch executor alone)
-# ----------------------------------------------------------------------
-def _vectorized_db(on: bool, *, heap_page_size: int = 256) -> Database:
-    # The seed's 32-tuple pages are sized so page-granularity SIREAD
-    # locks and promotion stay meaningful in small anomaly schedules;
-    # the scan benchmarks use database-realistic page sizes instead so
-    # per-page costs (buffer touch, vismap probe, batch setup) amortize
-    # the way they would over an 8KB heap page. Both sides of each
-    # on/off pair get the same page size, so the delta stays the
-    # executor alone.
-    config = EngineConfig(perf=PerfConfig(vectorized_executor=on),
-                          heap_page_size=heap_page_size)
-    db = Database(config)
-    assert db.sanitizers is None, (
-        f"sanitizers are enabled (is {ENV_FLAG} exported?); "
-        f"unset it before benchmarking")
-    return db
-
-
-def million_row_scan(isolation: IsolationLevel, on: bool, *,
-                     rows: int, repeats: int) -> dict:
-    """Aggregate scans over one wide table through the SQL layer:
-    COUNT(*), a filtered COUNT matching nothing, and a filtered SUM.
-    The vectorized path amortizes visibility + SIREAD coverage per
-    page and feeds aggregates zero-copy rows; the off path is the
-    per-tuple executor with a dict copy per row."""
-    from repro.sql.executor import SQLSession
-
-    db = _vectorized_db(on)
-    # A wide (11-column) analytic table: the per-tuple path pays a
-    # full-row dict copy per tuple, the vectorized path aliases the
-    # stored payload, so the gap grows with row width.
-    filler = [f"c{i}" for i in range(8)]
-    db.create_table("big", ["k", "v", "grp"] + filler, key="k")
-    session = db.session()
-    session.begin(isolation)
-    for k in range(rows):
-        row = {"k": k, "v": k % 1000, "grp": k % 7}
-        for i, name in enumerate(filler):
-            row[name] = k + i
-        session.insert("big", row)
-    session.commit()
-    db.vacuum()
-    sql = SQLSession(db.session())
-    sql.execute("ANALYZE big")
-    queries = [
-        "SELECT COUNT(*) FROM big",
-        "SELECT COUNT(*) FROM big WHERE v < 0",
-        "SELECT SUM(v) FROM big WHERE grp = 3",
-        "SELECT MIN(v), MAX(v) FROM big WHERE v BETWEEN 100 AND 900",
-    ]
-    level = ("SERIALIZABLE" if isolation is IsolationLevel.SERIALIZABLE
-             else "REPEATABLE READ")
-    start = time.perf_counter()
-    for _ in range(repeats):
-        sql.execute(f"BEGIN ISOLATION LEVEL {level}")
-        for q in queries:
-            sql.execute(q)
-        sql.execute("COMMIT")
-    elapsed = time.perf_counter() - start
-    return {"seconds": elapsed, "rows": rows, "repeats": repeats,
-            "queries": len(queries),
-            "tuples_scanned": rows * repeats * len(queries),
-            "perf_counters": _perf_counters(db)}
-
-
-def reporting_join(isolation: IsolationLevel, on: bool, *,
-                   customers: int, orders: int, repeats: int) -> dict:
-    """The reporting query shape: JOIN + GROUP BY + HAVING + ORDER BY
-    under the requested isolation. Vectorized on runs the planner's
-    hash/merge join; off runs the per-row nested loop (same rows, same
-    order -- the differential suite pins that)."""
-    from repro.sql.executor import SQLSession
-
-    db = _vectorized_db(on)
-    rng = random.Random(11)
-    db.create_table("customers", ["cid", "region", "balance"], key="cid")
-    db.create_table("orders", ["oid", "cid", "amount"], key="oid")
-    db.create_index("orders", "cid")
-    session = db.session()
-    session.begin(isolation)
-    regions = ("north", "south", "east", "west")
-    for cid in range(customers):
-        session.insert("customers", {"cid": cid,
-                                     "region": regions[cid % 4],
-                                     "balance": 0})
-    for oid in range(orders):
-        session.insert("orders", {"oid": oid,
-                                  "cid": rng.randrange(customers),
-                                  "amount": rng.randrange(1, 100)})
-    session.commit()
-    db.vacuum()
-    sql = SQLSession(db.session())
-    sql.execute("ANALYZE")
-    query = ("SELECT region, COUNT(*) AS cnt, SUM(amount) AS total "
-             "FROM orders JOIN customers ON orders.cid = customers.cid "
-             "GROUP BY region HAVING COUNT(*) > 0 ORDER BY region")
-    level = ("SERIALIZABLE" if isolation is IsolationLevel.SERIALIZABLE
-             else "REPEATABLE READ")
-    start = time.perf_counter()
-    for _ in range(repeats):
-        sql.execute(f"BEGIN ISOLATION LEVEL {level}")
-        sql.execute(query)
-        sql.execute("COMMIT")
-    elapsed = time.perf_counter() - start
-    return {"seconds": elapsed, "customers": customers, "orders": orders,
-            "repeats": repeats, "perf_counters": _perf_counters(db)}
-
-
-# ----------------------------------------------------------------------
-# benchmark 7: SIBENCH through the real network server (multi-client
+# benchmark 1: SIBENCH through the real network server (multi-client
 # latency: p50/p95/p99 per transaction plus end-to-end throughput)
 # ----------------------------------------------------------------------
 def _quantile_ms(sorted_seconds, q: float) -> float:
@@ -361,7 +69,10 @@ def server_sibench(*, n_clients: int, txns_per_client: int,
     per committed transaction, *including* any serialization-failure
     retries the client library performed -- that is the latency an
     application experiences under SSI (paper section 8.1)."""
-    db = make_db(True)
+    db = Database(EngineConfig())
+    assert db.sanitizers is None, (
+        f"sanitizers are enabled (is {ENV_FLAG} exported?); "
+        f"unset it before benchmarking")
     server = ReproServer(db, ServerConfig(
         port=0, mode=mode, max_connections=n_clients + 2)).start()
     boot = connect(server.address)
@@ -443,7 +154,7 @@ def server_sibench(*, n_clients: int, txns_per_client: int,
 
 
 # ----------------------------------------------------------------------
-# benchmark 8: group-commit throughput (real fsyncs, threaded server)
+# benchmark 2: group-commit throughput (real fsyncs, threaded server)
 # ----------------------------------------------------------------------
 def group_commit_bench(*, n_clients: int, txns_per_client: int,
                        group_commit: bool) -> dict:
@@ -518,7 +229,7 @@ def group_commit_bench(*, n_clients: int, txns_per_client: int,
 
 
 # ----------------------------------------------------------------------
-# benchmark 9: fig5b DBT-2++ disk configuration on the real durability
+# benchmark 3: fig5b DBT-2++ disk configuration on the real durability
 # layer (the simulated disk-bound series, now doing actual page/WAL IO)
 # ----------------------------------------------------------------------
 def fig5b_disk_durable(isolation: IsolationLevel, *,
@@ -530,10 +241,7 @@ def fig5b_disk_durable(isolation: IsolationLevel, *,
     scheduler serializes clients, so per-commit fsync stalls would
     measure the disk, not the engine)."""
     data_dir = tempfile.mkdtemp(prefix="repro-fig5b-")
-    cfg = EngineConfig.disk_bound(
-        io_miss=10.0, buffer_pages=96,
-        ssi=SSIConfig(siread_fast_path=False),
-        perf=PerfConfig(cost_planner=False, plan_cache=False))
+    cfg = EngineConfig.disk_bound(io_miss=10.0, buffer_pages=96)
     cfg.durability = DurabilityConfig(
         enabled=True, data_dir=data_dir, fsync=False,
         max_dirty_pages=96, checkpoint_wal_bytes=1 << 20)
@@ -580,83 +288,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.quick:
-        params = {"scan_rows": 400, "scan_repeats": 30,
-                  "churn_rows": 400, "churn_rounds": 3,
-                  "workload_ticks": 2000.0, "sibench_table": 50,
-                  "skew_rows": 400, "skew_queries": 60,
-                  "server_txns": 12, "server_table": 30,
-                  "vec_rows": 4000, "vec_repeats": 4,
-                  "join_customers": 60, "join_orders": 1200,
-                  "join_repeats": 4,
+        params = {"server_txns": 12, "server_table": 30,
                   "gc_clients": 3, "gc_txns": 10,
                   "fig5b_disk_ticks": 2000.0}
     else:
-        params = {"scan_rows": 1500, "scan_repeats": 80,
-                  "churn_rows": 1500, "churn_rounds": 6,
-                  "workload_ticks": 8000.0, "sibench_table": 100,
-                  "skew_rows": 1500, "skew_queries": 200,
-                  "server_txns": 40, "server_table": 100,
-                  "vec_rows": 40_000, "vec_repeats": 6,
-                  "join_customers": 200, "join_orders": 8000,
-                  "join_repeats": 6,
+        params = {"server_txns": 40, "server_table": 100,
                   "gc_clients": 8, "gc_txns": 25,
                   "fig5b_disk_ticks": 8000.0}
 
-    benchmarks = {
-        "repeated_seq_scan": lambda iso, fast: repeated_seq_scan(
-            iso, fast, rows=params["scan_rows"],
-            repeats=params["scan_repeats"]),
-        "insert_churn": lambda iso, fast: insert_churn(
-            iso, fast, rows=params["churn_rows"],
-            churn_rounds=params["churn_rounds"]),
-        "skewed_filter": lambda iso, fast: skewed_filter(
-            iso, fast, rows=params["skew_rows"],
-            queries=params["skew_queries"]),
-        "sibench": lambda iso, fast: sibench(
-            iso, fast, max_ticks=params["workload_ticks"],
-            table_size=params["sibench_table"]),
-        "dbt2pp": lambda iso, fast: dbt2pp(
-            iso, fast, max_ticks=params["workload_ticks"]),
-        "rubis": lambda iso, fast: rubis(
-            iso, fast, max_ticks=params["workload_ticks"]),
-        # "fast"/"slow" here = vectorized executor on/off (all other
-        # fast paths at their defaults on both sides).
-        "million_row_scan": lambda iso, on: million_row_scan(
-            iso, on, rows=params["vec_rows"],
-            repeats=params["vec_repeats"]),
-        "reporting_join": lambda iso, on: reporting_join(
-            iso, on, customers=params["join_customers"],
-            orders=params["join_orders"],
-            repeats=params["join_repeats"]),
-    }
-
-    results: dict = {}
-    for name, bench in benchmarks.items():
-        results[name] = {}
-        for series, iso in ISOLATION.items():
-            fast = bench(iso, True)
-            slow = bench(iso, False)
-            entry = {
-                "fast": fast,
-                "slow": slow,
-                "speedup": (slow["seconds"] / fast["seconds"]
-                            if fast["seconds"] else None),
-            }
-            if "txns_per_ktick" in fast:
-                base = slow["txns_per_ktick"]
-                entry["sim_throughput_ratio"] = (
-                    fast["txns_per_ktick"] / base if base else None)
-            results[name][series] = entry
-            speedup = entry["speedup"]
-            speedup_txt = (f"{speedup:.2f}x" if speedup is not None
-                           else "n/a")
-            print(f"{name:>18} [{series:>3}]  fast {fast['seconds']:8.3f}s  "
-                  f"slow {slow['seconds']:8.3f}s  "
-                  f"speedup {speedup_txt}")
-
-    # SIBENCH through the real TCP server at 1/4/16 concurrent clients
-    # (fast config; the interesting axis here is concurrency, not the
-    # perf toggles).
+    # SIBENCH through the real TCP server at 1/4/16 concurrent clients.
     server_results = {}
     for n in (1, 4, 16):
         result = server_sibench(n_clients=n,
@@ -702,7 +342,6 @@ def main(argv=None) -> int:
               f"page writes {io['page_writes']:5d}  "
               f"wall {result['seconds']:.2f}s")
 
-    defaults = PerfConfig()
     out = {
         "meta": {
             "quick": args.quick,
@@ -712,19 +351,7 @@ def main(argv=None) -> int:
             "platform": platform.platform(),
             "params": params,
             "series": list(ISOLATION),
-            # The planner toggles: "fast" runs use the defaults below,
-            # "slow" runs pin all three off (seed plans). Per-run stats
-            # epochs live in each benchmark entry ("stats_epoch").
-            "planner": {
-                "cost_planner": defaults.cost_planner,
-                "plan_cache": defaults.plan_cache,
-                "parse_cache": defaults.parse_cache,
-            },
-            # The million_row_scan / reporting_join series toggle this
-            # instead of the fast-path switches.
-            "vectorized_executor": defaults.vectorized_executor,
         },
-        "benchmarks": results,
         # Multi-client latency through the real network server
         # (keyed by client count; latency_ms has p50/p95/p99).
         "server": {"sibench": server_results},
@@ -738,6 +365,12 @@ def main(argv=None) -> int:
     repo_root = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                              os.pardir, os.pardir)
     path = args.output or os.path.join(repo_root, "BENCH_PERF.json")
+    if os.path.exists(path):
+        # Keep the section shard_bench.py owns.
+        with open(path) as fh:
+            previous = json.load(fh)
+        if "shards" in previous:
+            out["shards"] = previous["shards"]
     with open(path, "w") as fh:
         json.dump(out, fh, indent=2, sort_keys=True)
         fh.write("\n")

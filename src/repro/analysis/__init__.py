@@ -13,8 +13,8 @@ drift, so this package provides a TSan/ASan analog for the codebase:
 
 * :mod:`repro.analysis.lint` -- a stdlib-``ast`` static pass framework
   with repo-specific rules (CLOG discipline, nondeterminism,
-  ``__slots__`` consistency, lock-manager encapsulation, toggle
-  purity, hygiene), each carrying a fix-it hint and a
+  ``__slots__`` consistency, lock-manager encapsulation, hygiene),
+  each carrying a fix-it hint and a
   ``# repro: noqa(RULE)`` escape hatch;
 * :mod:`repro.analysis.sanitize` -- runtime invariant sanitizers
   (SSI state, heap/MVCC state, lock leaks) toggleable via
@@ -41,7 +41,7 @@ from __future__ import annotations
 #: Version of the analysis toolchain (rule catalog + sanitizer
 #: invariants). Bumped when rules or invariants change meaningfully;
 #: recorded in BENCH_PERF.json metadata by the benchmark harness.
-ANALYSIS_VERSION = "1.0"
+ANALYSIS_VERSION = "1.1"
 
 from repro.analysis.lint import (Finding, LintReport, Rule,  # noqa: E402
                                  all_rules, lint_paths)

@@ -10,7 +10,6 @@ DUR001    page-file writes outside the durability layer
 SLOT001   attribute assigned on a slotted class but not declared
 LOCK001   private lock-manager state touched from another package
 LOCK002   lock acquired with no release path in the same function
-CFG001    perf-toggle fast path does simulated-cost accounting
 MUT001    mutable default argument
 EXC001    bare ``except:``
 NOQA001   ``# repro: noqa`` that suppresses nothing (rotted escape)
@@ -410,84 +409,6 @@ class LockReleasePathRule(Rule):
                     f"release/release_all path")
 
 
-class TogglePurityRule(Rule):
-    """Perf-toggle fast paths must not do simulated-cost accounting.
-
-    The paper-faithful cost model charges ``work_units`` per logical
-    lock-table operation; the PR 2 fast paths are *supposed* to skip
-    that work entirely (that is the optimization being measured). A
-    ``work_units`` touch inside a toggle-guarded fast path silently
-    re-introduces the cost and invalidates the figure benchmarks.
-    """
-
-    id = "CFG001"
-    name = "toggle-purity"
-    description = ("work_units accounting inside a perf-toggle-guarded "
-                   "fast path")
-    hint = ("move the accounting out of the fast-path branch -- the toggle "
-            "exists to skip that simulated cost; if the charge is genuinely "
-            "part of the fast path, add '# repro: noqa(CFG001)' explaining "
-            "what it models")
-
-    #: Terminal attribute names that denote a perf toggle in a guard.
-    TOGGLES = {"siread_fast_path", "hint_bits", "visibility_map", "fsm",
-               "use_hints", "_use_hints", "_use_fsm", "_use_vismap",
-               # PR 5 planner toggles: the cost planner and the plan /
-               # parse caches must not charge simulated cost either --
-               # they exist to skip (re)planning work, not to shift it.
-               "cost_planner", "plan_cache", "parse_cache",
-               "use_cost", "use_cache", "_use_parse_cache",
-               # PR 7: the batch executor amortizes per-tuple dispatch;
-               # its fast path must not charge simulated cost either.
-               "vectorized_executor", "use_vectorized"}
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return ctx.in_engine
-
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.If):
-                continue
-            branch = self._fast_branch(node)
-            if branch is None:
-                continue
-            for stmt in branch:
-                for sub in ast.walk(stmt):
-                    if (isinstance(sub, (ast.Attribute, ast.Name))
-                            and _terminal_name(sub) == "work_units"):
-                        yield self.finding(
-                            ctx, sub,
-                            "work_units touched inside a branch guarded by "
-                            f"perf toggle "
-                            f"'{self._toggle_name(node.test)}'")
-                        break  # one finding per statement is enough
-
-    def _fast_branch(self, node: ast.If) -> Optional[List[ast.stmt]]:
-        """Statements executed when the toggle is ON, or None when the
-        guard doesn't reference a toggle / polarity is ambiguous."""
-        test = node.test
-        if self._is_toggle(test):
-            return node.body
-        if (isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not)
-                and self._is_toggle(test.operand)):
-            return node.orelse or None
-        if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
-            if any(self._is_toggle(v) for v in test.values):
-                return node.body
-        return None
-
-    def _is_toggle(self, expr: ast.expr) -> bool:
-        return (isinstance(expr, (ast.Attribute, ast.Name))
-                and _terminal_name(expr) in self.TOGGLES)
-
-    def _toggle_name(self, test: ast.expr) -> str:
-        for sub in ast.walk(test):
-            name = _terminal_name(sub)
-            if name in self.TOGGLES:
-                return name
-        return "?"
-
-
 class MutableDefaultRule(Rule):
     """Mutable default arguments are shared across calls."""
 
@@ -584,5 +505,4 @@ def all_rules() -> Sequence[Rule]:
     return (ClogDisciplineRule(), DeterminismRule(),
             DurabilityDisciplineRule(), SlotsConsistencyRule(),
             LockEncapsulationRule(), LockReleasePathRule(),
-            TogglePurityRule(), MutableDefaultRule(), BareExceptRule(),
-            UnusedNoqaRule())
+            MutableDefaultRule(), BareExceptRule(), UnusedNoqaRule())

@@ -134,23 +134,12 @@ class HeapSanitizer:
     # -- free-space completeness ----------------------------------------
     def _check_fsm(self, rel_name: str, heap) -> Iterator[Issue]:
         last = heap.page_count - 1
-        if heap.uses_fsm:
-            entries = heap.fsm_entries()
-            for page in heap.scan_pages():
-                if (page.page_no != last and page.has_room()
-                        and page.page_no not in entries):
-                    yield ("fsm-missing-page",
-                           f"page {page.page_no} of {rel_name} has room but "
-                           f"is absent from the free-space map: inserts "
-                           f"can never reuse it",
-                           {"relation": rel_name, "page": page.page_no})
-        else:
-            for page in heap.scan_pages():
-                if (page.page_no != last and page.has_room()
-                        and page.page_no < heap.room_hint):
-                    yield ("fsm-missing-page",
-                           f"page {page.page_no} of {rel_name} has room but "
-                           f"sits below the lowest-page-with-room hint "
-                           f"{heap.room_hint}: inserts can never reuse it",
-                           {"relation": rel_name, "page": page.page_no,
-                            "room_hint": heap.room_hint})
+        entries = heap.fsm_entries()
+        for page in heap.scan_pages():
+            if (page.page_no != last and page.has_room()
+                    and page.page_no not in entries):
+                yield ("fsm-missing-page",
+                       f"page {page.page_no} of {rel_name} has room but "
+                       f"is absent from the free-space map: inserts "
+                       f"can never reuse it",
+                       {"relation": rel_name, "page": page.page_no})

@@ -66,77 +66,6 @@ class SSIConfig:
     #: benchmark.
     conflict_tracking: str = "full"
 
-    # Read fast paths (performance layer; see DESIGN.md) ----------------
-    #: Skip SIREAD acquisition for a tuple read already covered by a
-    #: page- or relation-granularity SIREAD lock this transaction
-    #: holds: the covered acquisition would dedupe and return. The
-    #: skipped call's work unit is still charged, so simulated figures
-    #: are the same either way. Automatically disabled while event
-    #: tracing is active so traces stay complete.
-    siread_fast_path: bool = True
-
-
-@dataclass
-class PerfConfig:
-    """Storage/MVCC fast-path toggles (the performance layer).
-
-    Each mechanism mirrors a PostgreSQL counterpart (see DESIGN.md,
-    "Performance layer") and is individually toggleable so the
-    ablation benchmarks can quantify it. All default on; with every
-    toggle off the engine takes exactly the seed code paths.
-    """
-
-    #: Infomask hint bits (HEAP_XMIN_COMMITTED & co.): cache the commit
-    #: log's verdict on a tuple's xmin/xmax in the tuple header the
-    #: first time it is looked up, so repeat visibility checks skip the
-    #: CLOG entirely. Bits are only ever set to a *final* status, so
-    #: they can never disagree with the commit log.
-    hint_bits: bool = True
-    #: Per-relation visibility map: one all-visible bit per heap page,
-    #: set by VACUUM when every remaining tuple on the page is visible
-    #: to every current and future snapshot, cleared by any write to
-    #: the page. Scans skip per-tuple visibility checks (and, under a
-    #: covering relation SIREAD lock, per-tuple SSI bookkeeping) on
-    #: all-visible pages.
-    visibility_map: bool = True
-    #: Free-space map: track pages with vacuumed slots in a min-heap so
-    #: Heap inserts find the lowest page with room in O(1) instead of
-    #: scanning. Off, inserts fall back to a linear probe that starts
-    #: at a lowest-page-with-room hint (never a full rescan).
-    fsm: bool = True
-    #: Cost-based scan planning: when ANALYZE statistics exist for a
-    #: relation, price seq-scan against every candidate index scan
-    #: (page touches + tuple visibility checks) and pick the cheapest
-    #: -- in particular the *most selective* sargable conjunct rather
-    #: than the first. Off (or with no stats), plans are exactly the
-    #: rule-based seed behaviour. Pure: toggling may change which scan
-    #: runs, never which rows result.
-    cost_planner: bool = True
-    #: Engine-level plan cache: memoize the scan choice per (relation,
-    #: stats epoch, predicate shape), so the statement hot path skips
-    #: re-planning. ANALYZE/DDL bump the stats epoch, which invalidates
-    #: every cached entry by key mismatch.
-    plan_cache: bool = True
-    #: SQL-layer parse cache: LRU of SQL text -> parsed AST, so
-    #: repeated statement strings skip the lexer and parser.
-    parse_cache: bool = True
-    #: Vectorized (batch-at-a-time) execution: sequential scans pull a
-    #: whole slotted page into a TupleBatch, apply a compiled batch
-    #: filter, hoist the SSI read-coverage check to once per page, and
-    #: the SQL layer runs joins with hash/merge algorithms and
-    #: aggregates over zero-copy row views. Off, every scan takes the
-    #: seed per-tuple loop byte-for-byte and SQL joins fall back to a
-    #: per-row nested loop; results are identical either way (see
-    #: DESIGN.md, "Vectorized execution"). Automatically disabled
-    #: while event tracing is active so per-tuple read events keep
-    #: appearing in traces.
-    vectorized_executor: bool = True
-    #: Rows per batch for operators not naturally page-bounded (index
-    #: scans chunk their tid lists by this; joins and aggregation
-    #: consume whole inputs). Sequential-scan batches are always one
-    #: heap page.
-    batch_size: int = 256
-
 
 @dataclass
 class SanitizerConfig:
@@ -323,8 +252,6 @@ class EngineConfig:
 
     ssi: SSIConfig = field(default_factory=SSIConfig)
     cost: CostModel = field(default_factory=CostModel)
-    #: Storage/MVCC fast paths (hint bits, visibility map, FSM).
-    perf: PerfConfig = field(default_factory=PerfConfig)
     #: Observability (metrics always on; tracing behind obs.enabled).
     obs: ObsConfig = field(default_factory=ObsConfig)
     #: Runtime invariant sanitizers (repro.analysis); all off by

@@ -1,22 +1,19 @@
 """Batch-at-a-time execution primitives.
 
-The vectorized executor (``PerfConfig.vectorized_executor``) moves the
-per-tuple Python dispatch of the seed scan loop out of the hot path:
+The snapshot scan (``Executor._scan_snapshot``) handles a heap page at
+a time, moving per-tuple Python dispatch out of the hot path:
 
-* a :class:`TupleBatch` is a thin view over the live tuples of one
-  slotted heap page (or one chunk of an index scan's tid list) --
-  tuples are shared with the heap, never copied;
 * :func:`compile_batch_filter` specializes a predicate into a single
-  list-comprehension closure over a batch, replicating the predicate's
-  ``matches`` semantics exactly (including the None handling of the
-  ordered comparisons) so batch filtering returns byte-identical rows
-  to per-tuple ``pred.matches`` calls;
-* :func:`chunks` slices long sequences into ``PerfConfig.batch_size``
-  pieces for operators that are not naturally page-bounded.
+  list-comprehension closure over a page's live tuples, replicating
+  the predicate's ``matches`` semantics exactly (including the None
+  handling of the ordered comparisons) so batch filtering returns the
+  same rows as per-tuple ``pred.matches`` calls;
+* :class:`BatchAggregator` folds aggregates page by page (the SQL
+  layer's aggregate pushdown).
 
 SSI correctness: batching changes *when* checks run, never *whether*.
 The executor still classifies visibility per tuple and takes the same
-SIREAD locks; the only hoisted check is the read-coverage fast path
+SIREAD locks; the only hoisted check is the read-coverage early exit
 (`SSIManager.read_page_covered`), which is already tuple-independent
 because it keys on (relation, page). See DESIGN.md, "Vectorized
 execution".
@@ -24,7 +21,7 @@ execution".
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, List, Sequence
+from typing import Any, Callable, List, Sequence
 
 from repro.engine.predicate import (AlwaysTrue, And, Between, Eq, Ge, Gt, Le,
                                     Lt, Ne, Predicate)
@@ -33,34 +30,6 @@ from repro.storage.tuple import HeapTuple
 #: A compiled batch filter: list of tuples in, matching tuples out
 #: (input order preserved).
 BatchFilter = Callable[[Sequence[HeapTuple]], List[HeapTuple]]
-
-
-class TupleBatch:
-    """A columnar view over the live tuples of one page (or chunk).
-
-    Tuples are borrowed from the heap; the batch owns nothing and must
-    not outlive the statement that built it.
-    """
-
-    __slots__ = ("rel_oid", "page_no", "tuples", "all_visible")
-
-    def __init__(self, rel_oid: int, page_no: int,
-                 tuples: List[HeapTuple], all_visible: bool = False) -> None:
-        self.rel_oid = rel_oid
-        self.page_no = page_no
-        self.tuples = tuples
-        self.all_visible = all_visible
-
-    def __len__(self) -> int:
-        return len(self.tuples)
-
-    def column(self, name: str) -> List[Any]:
-        """One column of the batch as a list (columnar access)."""
-        return [t.data.get(name) for t in self.tuples]
-
-    def rows(self) -> List[dict]:
-        """Zero-copy row views (the live heap dicts; read-only)."""
-        return [t.data for t in self.tuples]
 
 
 def compile_batch_filter(pred: Predicate) -> BatchFilter:
@@ -190,10 +159,3 @@ class BatchAggregator:
             else:
                 raise ValueError(f"unknown aggregate {func}")
         return out
-
-
-def chunks(seq: Sequence, size: int) -> Iterator[Sequence]:
-    """Slice ``seq`` into consecutive pieces of at most ``size``."""
-    size = max(1, size)
-    for start in range(0, len(seq), size):
-        yield seq[start:start + size]

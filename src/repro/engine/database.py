@@ -61,10 +61,7 @@ class Database:
         self.ssi = SSIManager(self.config.ssi, self.clog, obs=self.obs)
         self.buffer = BufferManager(self.config.buffer_pages, obs=self.obs)
         self.stats = EngineStats(self.obs.metrics)
-        #: Performance-layer toggles and counters (config.perf).
-        self.use_hint_bits = self.config.perf.hint_bits
-        self.use_vismap = self.config.perf.visibility_map
-        self.use_vectorized = self.config.perf.vectorized_executor
+        #: Performance-layer counters (see DESIGN.md, "Performance layer").
         self.hint_counter = self.obs.metrics.counter("perf.hint_hits")
         self.vismap_counter = self.obs.metrics.counter("perf.vismap_skips")
         #: ANALYZE statistics catalog + cache-invalidation epoch.
@@ -145,9 +142,7 @@ class Database:
         if name in self._relations:
             raise DuplicateTableError(f"relation {name!r} already exists")
         rel = Relation(self._alloc_oid(), name, columns,
-                       self.config.heap_page_size,
-                       use_fsm=self.config.perf.fsm,
-                       track_all_visible=self.config.perf.visibility_map)
+                       self.config.heap_page_size)
         self._relations[name] = rel
         if self.durability is not None:
             self.durability.on_create_table(rel)
@@ -458,7 +453,6 @@ class Database:
                 else list(self._relations.values()))
         for rel in rels:
             removed = rel.heap.vacuum(horizon, self.clog,
-                                      use_hints=self.use_hint_bits,
                                       hint_counter=self.hint_counter)
             removed_total += len(removed)
             for tup in removed:
@@ -487,7 +481,7 @@ class Database:
             rows: List[Dict[str, Any]] = []
             for tup in rel.heap.scan():
                 vis = tuple_visibility(tup, snapshot, view, self.clog,
-                                       self.use_hint_bits, self.hint_counter)
+                                       self.hint_counter)
                 if vis.visible:
                     rows.append(tup.data)
             columns = sorted({index.column

@@ -26,8 +26,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterator, List, Optional, Union
 
 from repro import s2pl
-from repro.engine.batch import (BatchAggregator, TupleBatch,
-                                compile_batch_filter)
+from repro.engine.batch import BatchAggregator, compile_batch_filter
 from repro.engine.isolation import IsolationLevel
 from repro.engine.predicate import AlwaysTrue, Predicate
 from repro.engine.transaction import Transaction
@@ -82,8 +81,8 @@ class Executor:
     # ------------------------------------------------------------------
     def _plan_index(self, rel: Relation, pred: Predicate):
         """Scan choice, delegated to the planner (repro.engine.planner):
-        cost-based over ANALYZE statistics when available, the seed's
-        rule-based first-sargable-conjunct behaviour otherwise, with an
+        cost-based over ANALYZE statistics when available, the
+        rule-based first-sargable-conjunct choice otherwise, with an
         engine-level plan cache in front of both."""
         return self.db.planner.plan_scan(rel, pred)
 
@@ -91,116 +90,27 @@ class Executor:
               pred: Predicate) -> Iterator:
         """Yields waits; returns the list of visible matching tuples."""
         if txn.isolation.snapshot_based:
-            # The batch path is disabled while a tracer is installed so
-            # per-tuple read events keep appearing in traces (the same
-            # rule as the visibility-map shortcut below).
-            if self.db.use_vectorized and self.db.obs.tracer is None:
-                result = yield from self._scan_snapshot_vec(txn, rel, pred)
-            else:
-                result = yield from self._scan_snapshot(txn, rel, pred)
+            result = yield from self._scan_snapshot(txn, rel, pred)
         else:
             result = yield from self._scan_s2pl(txn, rel, pred)
         self.db.record_read(txn, rel, pred, result)
         return result
 
     def _scan_snapshot(self, txn: Transaction, rel: Relation,
-                       pred: Predicate) -> Iterator:
-        db = self.db
-        sx = txn.sxact
-        out: List[HeapTuple] = []
-        yield_pages = max(1, db.config.scan_yield_pages)
-        snapshot = txn.snapshot
-        view = txn.view()
-        clog = db.clog
-        use_hints = db.use_hint_bits
-        hint_counter = db.hint_counter
-        # The visibility-map shortcuts are disabled while a tracer is
-        # installed so per-tuple read events keep appearing in traces.
-        use_vm = db.use_vismap and db.obs.tracer is None
-        vismap = rel.heap.vismap
-        index, rng = self._plan_index(rel, pred)
-        if index is not None:
-            if rng.is_equality:
-                res = index.search(rng.lo)
-            else:
-                res = index.range_search(rng.lo, rng.hi, rng.lo_incl,
-                                         rng.hi_incl)
-            if index.supports_predicate_locks:
-                for page_no in res.visited_pages:
-                    self._touch(index.oid, page_no)
-                if (db.config.ssi.index_locking == "nextkey"
-                        and index.supports_key_locking):
-                    db.ssi.on_index_scan_keys(sx, index.oid, res)
-                else:
-                    # Page/node granularity; for GiST this includes the
-                    # internal nodes visited (section 7.4).
-                    for page_no in res.visited_pages:
-                        db.ssi.on_index_page_read(sx, index.oid, page_no)
-            else:
-                db.ssi.on_index_rel_read(sx, index.oid)
-            for n, tid in enumerate(res.tids):
-                if n and n % (yield_pages * 8) == 0:
-                    yield YIELD
-                tup = rel.heap.fetch(tid)
-                if tup is None:
-                    continue
-                self._touch(rel.oid, tid.page)
-                db.stats.tuples_read += 1
-                if use_vm and vismap.is_all_visible(tid.page):
-                    # All-visible page: no visibility check needed. The
-                    # tuple SIREAD lock is still needed (no coarse lock
-                    # covers an index scan), so SSI still runs.
-                    vis = ALL_VISIBLE
-                    db.vismap_counter.inc()
-                else:
-                    vis = tuple_visibility(tup, snapshot, view, clog,
-                                           use_hints, hint_counter)
-                db.ssi.on_read_tuple(sx, rel.oid, tup, vis)
-                if vis.visible and pred.matches(tup.data):
-                    out.append(tup)
-        else:
-            db.ssi.on_scan_relation(sx, rel.oid)
-            for page_no, page in enumerate(rel.heap.scan_pages()):
-                if page_no and page_no % yield_pages == 0:
-                    yield YIELD
-                self._touch(rel.oid, page.page_no)
-                if use_vm and vismap.is_all_visible(page.page_no):
-                    # All-visible page under a sequential scan: every
-                    # tuple is visible (no MVCC checks), and the
-                    # relation SIREAD lock taken by on_scan_relation
-                    # above already covers every tuple on the page, so
-                    # the per-tuple SSI calls are pure no-ops too.
-                    n = 0
-                    for tup in page.tuples():
-                        n += 1
-                        if pred.matches(tup.data):
-                            out.append(tup)
-                    db.stats.tuples_read += n
-                    db.vismap_counter.inc()
-                    continue
-                for tup in list(page.tuples()):
-                    db.stats.tuples_read += 1
-                    vis = tuple_visibility(tup, snapshot, view, clog,
-                                           use_hints, hint_counter)
-                    db.ssi.on_read_tuple(sx, rel.oid, tup, vis)
-                    if vis.visible and pred.matches(tup.data):
-                        out.append(tup)
-        return out
+                       pred: Predicate, sink=None) -> Iterator:
+        """Snapshot read, a heap page at a time.
 
-    def _scan_snapshot_vec(self, txn: Transaction, rel: Relation,
-                           pred: Predicate, sink=None) -> Iterator:
-        """Batch (page-at-a-time) variant of :meth:`_scan_snapshot`.
-
-        Returns the same tuples in the same order, takes the same
-        SIREAD locks, flags the same rw-conflicts, and yields at the
-        same points (page boundaries / every ``yield_pages * 8`` index
-        entries), so schedules recorded against the per-tuple path
-        replay identically. What changes: the live tuples of a page
-        are pulled into one TupleBatch, the predicate is a compiled
-        batch filter, stat increments are batched, and the SSI
-        read-coverage fast path is checked once per page instead of
-        once per tuple (see SSIManager.read_page_covered for why that
-        is equivalent).
+        A sequential scan takes a relation SIREAD lock and then handles
+        each page as a unit: the compiled batch filter selects matches,
+        and the read-coverage early exit (SSIManager.read_page_covered)
+        is checked once per page. On a page marked all-visible in the
+        visibility map no tuple needs an MVCC check at all. Tuples with
+        rw-conflict evidence (invisible because of a concurrent
+        creator, or visible with a concurrent deleter) still go through
+        on_read_tuple one by one. An index scan visits its tid list and
+        takes a tuple SIREAD lock per visible tuple, since no coarse
+        lock covers it. Yields fall on page boundaries (every
+        ``yield_pages * 8`` index entries), so schedules are stable.
 
         ``sink``, when given, receives each page's matched tuples (in
         scan order) instead of them being accumulated into the result
@@ -215,9 +125,7 @@ class Executor:
         snapshot = txn.snapshot
         view = txn.view()
         clog = db.clog
-        use_hints = db.use_hint_bits
         hint_counter = db.hint_counter
-        use_vm = db.use_vismap  # tracer already ruled out by caller
         vismap = rel.heap.vismap
         stats = db.stats
         ssi = db.ssi
@@ -236,18 +144,17 @@ class Executor:
                         and index.supports_key_locking):
                     ssi.on_index_scan_keys(sx, index.oid, res)
                 else:
+                    # Page/node granularity; for GiST this includes the
+                    # internal nodes visited (section 7.4).
                     for page_no in res.visited_pages:
                         ssi.on_index_page_read(sx, index.oid, page_no)
             else:
                 ssi.on_index_rel_read(sx, index.oid)
-            # Index batches: the tid list in yield-cadence chunks. The
-            # per-tuple SIREAD lock is still required (no coarse lock
-            # covers an index scan), so SSI runs per tuple; the batch
-            # win is amortized vismap lookups and stat increments.
-            # Counter attribution must stay window-exact: the simulated
-            # clock charges per-yield deltas, so `seen` flushes before
-            # every YIELD, and the vismap cache resets there too (the
-            # map can only change across a yield, never within one).
+            # The tid list is walked in yield-cadence chunks. Counter
+            # attribution stays window-exact: the simulated clock
+            # charges per-yield deltas, so `seen` flushes before every
+            # YIELD, and the vismap cache resets there too (the map can
+            # only change across a yield, never within one).
             fetch = rel.heap.fetch
             matches = pred.matches
             vm_cache: Dict[int, bool] = {}
@@ -265,27 +172,23 @@ class Executor:
                         continue
                     self._touch(rel.oid, tid.page)
                     seen += 1
-                    if use_vm:
-                        all_vis = vm_cache.get(tid.page)
-                        if all_vis is None:
-                            all_vis = vismap.is_all_visible(tid.page)
-                            vm_cache[tid.page] = all_vis
-                    else:
-                        all_vis = False
+                    all_vis = vm_cache.get(tid.page)
+                    if all_vis is None:
+                        all_vis = vismap.is_all_visible(tid.page)
+                        vm_cache[tid.page] = all_vis
                     if all_vis:
                         vis = ALL_VISIBLE
                         db.vismap_counter.inc()
                     else:
                         vis = tuple_visibility(tup, snapshot, view, clog,
-                                               use_hints, hint_counter)
+                                               hint_counter)
                     ssi.on_read_tuple(sx, rel.oid, tup, vis)
                     if vis.visible and matches(tup.data):
                         hits.append(tup)
             finally:
                 # Flush even when on_read_tuple aborts the transaction
-                # mid-scan: the per-tuple path counts eagerly, so the
-                # tuples processed before (and including) the aborting
-                # one are already on its meter for this window.
+                # mid-scan: the tuples processed before (and including)
+                # the aborting one belong to this window's meter.
                 stats.tuples_read += seen
             collect(hits)
         else:
@@ -295,45 +198,44 @@ class Executor:
                     yield YIELD
                 self._touch(rel.oid, page.page_no)
                 live = page.live_tuples()
-                if use_vm and vismap.is_all_visible(page.page_no):
-                    # All-visible page: no MVCC checks, and the
-                    # relation SIREAD lock from on_scan_relation covers
-                    # every tuple, so SSI is a no-op -- the whole page
-                    # reduces to one compiled batch filter.
-                    batch = TupleBatch(rel.oid, page.page_no, live,
-                                       all_visible=True)
-                    collect(match(batch.tuples))
+                covered = ssi.read_page_covered(sx, rel.oid, page.page_no)
+                all_visible = vismap.is_all_visible(page.page_no)
+                if all_visible and covered:
+                    # Every tuple is visible (no MVCC checks) and the
+                    # relation SIREAD lock covers them all (nothing for
+                    # SSI to do): the page reduces to one batch filter.
+                    collect(match(live))
                     stats.tuples_read += len(live)
                     db.vismap_counter.inc()
+                    ssi.note_covered_reads(sx, rel.oid, page.page_no,
+                                           len(live))
                     continue
-                covered = ssi.read_page_covered(sx, rel.oid, page.page_no)
                 skipped = 0
                 done = 0
                 page_hits: List[HeapTuple] = []
                 try:
                     for tup in live:
                         done += 1
-                        vis = tuple_visibility(tup, snapshot, view, clog,
-                                               use_hints, hint_counter)
+                        vis = (ALL_VISIBLE if all_visible else
+                               tuple_visibility(tup, snapshot, view, clog,
+                                                hint_counter))
                         if (covered and vis.visible
                                 and not vis.deleter_concurrent):
-                            # Same skip rule as on_read_tuple's fast
-                            # path, hoisted: coverage is page-keyed and
-                            # doom was checked by read_page_covered.
+                            # on_read_tuple's early exit, hoisted:
+                            # coverage is page-keyed and doom was
+                            # checked by read_page_covered.
                             skipped += 1
                         else:
                             ssi.on_read_tuple(sx, rel.oid, tup, vis)
                         if vis.visible and pred.matches(tup.data):
                             page_hits.append(tup)
                 finally:
-                    # Flush even when on_read_tuple aborts mid-page, so
-                    # this window's counters match the per-tuple path's
-                    # eager increments (done == len(live) on success).
+                    # Flush even when on_read_tuple aborts mid-page:
+                    # the reads before the aborting one were made.
                     stats.tuples_read += done
-                    # Only reads on_read_tuple would have handled count
-                    # (a snapshot proven safe mid-scan makes them no-ops).
-                    if skipped and sx is not None and not sx.ro_safe:
-                        ssi.note_fastpath_hits(skipped)
+                    if skipped:
+                        ssi.note_covered_reads(sx, rel.oid, page.page_no,
+                                               skipped)
                 collect(page_hits)
         return out
 
@@ -413,7 +315,7 @@ class Executor:
     def scan_rows_gen(self, txn: Transaction, rel_name: str,
                       pred: Predicate) -> Iterator:
         """Like select_gen but returns the live heap row dicts without
-        copying (the vectorized read path). Callers must treat the
+        copying (the SQL layer's read path). Callers must treat the
         rows as read-only views that do not outlive the statement."""
         rel = self.db.relation(rel_name)
         tuples = yield from self._scan(txn, rel, pred)
@@ -421,26 +323,33 @@ class Executor:
 
     def scan_aggregate_gen(self, txn: Transaction, rel_name: str,
                            pred: Predicate, specs) -> Iterator:
-        """Vectorized aggregate pushdown: fold COUNT/SUM/MIN/MAX/AVG
-        page-at-a-time *during* the scan instead of materializing the
-        matching rows first. The scan itself is _scan_snapshot_vec with
-        a sink, so it takes the same SIREAD locks, flags the same
-        rw-conflicts and yields at the same points as a plain scan --
-        only the result shape changes (one value per (func, column)
-        spec). Falls back to scan-then-fold whenever the batch scan is
-        unavailable (per-tuple executor, tracer installed, non-snapshot
-        isolation) or a schedule recorder needs the tid list; both
-        routes return identical values (see BatchAggregator)."""
+        """Aggregate pushdown: fold COUNT/SUM/MIN/MAX/AVG page-at-a-time
+        *during* the scan instead of materializing the matching rows
+        first. The scan itself is _scan_snapshot with a sink, so it
+        takes the same SIREAD locks, flags the same rw-conflicts and
+        yields at the same points as a plain scan -- only the result
+        shape changes (one value per (func, column) spec). A history
+        recorder still receives the matched tuples. S2PL scans, which
+        lock as they go, scan first and fold after; both routes return
+        identical values (see BatchAggregator)."""
         db = self.db
         rel = db.relation(rel_name)
         agg = BatchAggregator(specs)
-        if (txn.isolation.snapshot_based and db.use_vectorized
-                and db.obs.tracer is None and db.recorder is None):
-            yield from self._scan_snapshot_vec(txn, rel, pred,
-                                               sink=agg.update)
-        else:
+        if not txn.isolation.snapshot_based:
             tuples = yield from self._scan(txn, rel, pred)
             agg.update(tuples)
+            return agg.finalize()
+        if db.recorder is None:
+            yield from self._scan_snapshot(txn, rel, pred, sink=agg.update)
+        else:
+            matched: List[HeapTuple] = []
+
+            def sink(hits: List[HeapTuple]) -> None:
+                matched.extend(hits)
+                agg.update(hits)
+
+            yield from self._scan_snapshot(txn, rel, pred, sink=sink)
+            db.record_read(txn, rel, pred, matched)
         return agg.finalize()
 
     def select_for_update_gen(self, txn: Transaction, rel_name: str,

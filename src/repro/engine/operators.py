@@ -12,10 +12,10 @@ object identity.
 
 * Every join algorithm emits rows in **left-major order** -- left
   input order, then right input order -- regardless of algorithm or
-  build side, so the planner's choice (and the vectorized toggle)
-  changes cost, never results. Hash buckets preserve insertion order
-  by construction; probe-right plans and merge joins restore
-  left-major order by sorting (left index, right index) pairs.
+  build side, so the planner's choice changes cost, never results.
+  Hash buckets preserve insertion order by construction; probe-right
+  plans and merge joins restore left-major order by sorting (left
+  index, right index) pairs.
 * Equi-join keys follow SQL semantics: a NULL key matches nothing
   (Python's ``None == None`` would say otherwise, so key extraction
   filters None explicitly in every algorithm).
@@ -43,7 +43,8 @@ def nested_loop_join(left: Sequence[Row], right: Sequence[Row],
                      cond: CondFn, combine: CombineFn) -> List[Row]:
     """The per-row baseline (and the only algorithm usable without an
     equality key): every (left, right) pair is combined and filtered.
-    O(|L| * |R|); the vectorized-off path and non-equi joins use it."""
+    O(|L| * |R|); joins without an equality key use it, and the tests
+    use its keyed form as the reference for hash and merge joins."""
     out: List[Row] = []
     for l_row in left:
         lk = lkey(l_row) if lkey is not None else None

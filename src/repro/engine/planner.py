@@ -17,8 +17,8 @@ that
   (relation oid, stats epoch, predicate shape), so the statement hot
   path plans once per shape; ANALYZE/DDL bump the epoch, which
   invalidates every entry by key mismatch;
-* falls back to the rule-based seed behaviour whenever the toggle is
-  off or the relation has no statistics.
+* falls back to the rule-based choice (the predicate's own
+  first-sargable-conjunct range) when the relation has no statistics.
 
 Determinism: candidate paths are enumerated in conjunct order (fixed
 by predicate construction) and ties are broken by
@@ -115,9 +115,7 @@ class Planner:
 
     def __init__(self, db) -> None:
         self.db = db
-        self.use_cost = db.config.perf.cost_planner
-        self.use_cache = db.config.perf.plan_cache
-        self._cache: "OrderedDict[Tuple, Optional[str]]" = OrderedDict()
+        self._cache: "OrderedDict[Tuple, Optional[int]]" = OrderedDict()
         metrics = db.obs.metrics
         self.cache_hits = metrics.counter("perf.plan_cache_hits")
         self.cache_misses = metrics.counter("perf.plan_cache_misses")
@@ -133,10 +131,10 @@ class Planner:
         """The executor's question: ``(index, rng)`` or ``(None, None)``.
 
         Consults the plan cache first; on a miss, plans (cost-based
-        when enabled and statistics exist, rule-based otherwise) and
-        caches the choice.
+        when statistics exist, rule-based otherwise) and caches the
+        choice.
         """
-        shape = plan_shape(pred) if self.use_cache else None
+        shape = plan_shape(pred)
         key = None
         if shape is not None:
             key = (rel.oid, self.db.statscat.epoch, shape)
@@ -148,7 +146,8 @@ class Planner:
             self.cache_misses.inc()
         choice = self.choose(rel, pred)
         if key is not None:
-            self._cache[key] = choice.column
+            self._cache[key] = (None if choice.is_seq_scan else
+                                candidate_ranges(pred).index(choice.rng))
             if len(self._cache) > PLAN_CACHE_SIZE:
                 self._cache.popitem(last=False)
         if choice.is_seq_scan:
@@ -158,27 +157,26 @@ class Planner:
         return rel.indexes[choice.index_name], choice.rng
 
     def _materialize(self, rel: Relation, pred: Predicate,
-                     column: Optional[str]):
+                     position: Optional[int]):
         """Rebuild a concrete (index, range) from a cached choice.
 
-        The cache stores only the chosen *column* (equality values are
-        excluded from the shape key because their selectivity estimate
-        is value-independent), so the actual bounds come from the live
-        predicate.
+        The cache stores only the chosen restriction's position among
+        the predicate's candidate ranges (equality values are excluded
+        from the shape key because their selectivity estimate is
+        value-independent); predicates of one shape list their
+        candidates in the same order, so the actual bounds come from
+        the live predicate at that position.
         """
-        if column is None:
+        if position is None:
             self.seq_chosen.inc()
             return None, None
-        index = rel.index_on(column)
+        rng = candidate_ranges(pred)[position]
+        index = rel.index_on(rng.column)
         if index is None:  # pragma: no cover - epoch bump prevents this
             self.seq_chosen.inc()
             return None, None
-        for rng in candidate_ranges(pred):
-            if rng.column == column and self._usable(index, rng):
-                self.index_chosen.inc()
-                return index, rng
-        self.seq_chosen.inc()  # pragma: no cover - shape mismatch guard
-        return None, None
+        self.index_chosen.inc()
+        return index, rng
 
     # ------------------------------------------------------------------
     # planning
@@ -186,16 +184,15 @@ class Planner:
     def choose(self, rel: Relation, pred: Predicate) -> ScanChoice:
         """Plan without consulting the cache (EXPLAIN uses this too)."""
         stats = self.db.statscat.get(rel.oid)
-        if not self.use_cost or stats is None:
+        if stats is None:
             self.rule_plans.inc()
             return self._rule_choice(rel, pred)
         self.cost_plans.inc()
         return self._cost_choice(rel, pred, stats)
 
     def _rule_choice(self, rel: Relation, pred: Predicate) -> ScanChoice:
-        """The seed behaviour: the predicate's own ``index_range()``
-        (for AND: equality-preferring first sargable conjunct), no
-        statistics consulted."""
+        """No statistics: the predicate's own ``index_range()`` (for
+        AND: equality-preferring first sargable conjunct)."""
         rng = pred.index_range()
         if rng is not None:
             index = rel.index_on(rng.column)
@@ -296,8 +293,8 @@ class Planner:
                   right_choice: Optional[ScanChoice] = None) -> JoinChoice:
         """Pick the algorithm and build side for one binary join.
 
-        Vectorized off, or with no equality key pair, the only
-        algorithm is the per-row nested loop. Otherwise hash and merge
+        With no equality key pair, the only algorithm is the per-row
+        nested loop. Otherwise hash and merge
         are priced: the hash join builds on the smaller estimated side
         (ties break to "right", which preserves natural probe order);
         the merge join's per-side sort is discounted when an ordered
@@ -306,8 +303,7 @@ class Planner:
         """
         el = self.estimated_rows(left_rel, left_choice)
         er = self.estimated_rows(right_rel, right_choice)
-        if left_col is None or right_col is None \
-                or not self.db.use_vectorized:
+        if left_col is None or right_col is None:
             cost = el * er * NESTLOOP_PAIR
             return JoinChoice("nestloop", est_left=el, est_right=er,
                               est_rows=el * er if left_col is None
@@ -338,7 +334,8 @@ class Planner:
 
     @staticmethod
     def _usable(index, rng: IndexRange) -> bool:
-        """The seed validity rules from Executor._plan_index."""
+        """Can ``index`` serve ``rng``? Ordered indexes serve ranges,
+        hash-style ones only equality, spatial ones overlap."""
         if rng.overlap:
             return bool(getattr(index, "spatial", False))
         return index.ordered or rng.is_equality

@@ -183,14 +183,14 @@ class Session:
 
     def scan_rows(self, table: str, where: Optional[Predicate] = None
                   ) -> List[Dict[str, Any]]:
-        """SELECT returning zero-copy row views (the vectorized read
-        path; same visibility, locking, and ordering as select()).
+        """SELECT returning zero-copy row views (same visibility,
+        locking, and ordering as select()).
 
         The returned dicts are the live heap tuples: callers MUST NOT
         mutate them or hold them across statements -- copy with
-        ``dict(row)`` for anything longer-lived. The SQL layer uses
-        this for aggregate/join inputs where the seed path's per-row
-        dict copies dominate the profile.
+        ``dict(row)`` for anything longer-lived. The SQL layer reads
+        through this, so no statement pays a per-row dict copy it
+        does not need.
         """
         pred = where or AlwaysTrue()
         return self._statement(

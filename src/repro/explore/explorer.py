@@ -184,16 +184,16 @@ def canonical_state(db, program: Program) -> tuple:
 
 def execute_schedule(program: Program, isolation: IsolationLevel, policy, *,
                      max_steps: int = 4000, sanitize: bool = False,
-                     max_retries: int = 8, perf=None,
+                     max_retries: int = 8,
                      analyze: bool = False, db=None) -> RunRecord:
     """Run the program once under ``policy`` (a scheduler pick policy)
     and collect the oracle inputs. The policy's recorded choices are
-    read back from its ``choices`` attribute if present. ``perf`` and
-    ``analyze`` pass through to :meth:`Program.build_db` (differential
-    planner testing). ``db`` substitutes a pre-built database (the
+    read back from its ``choices`` attribute if present. ``analyze``
+    passes through to :meth:`Program.build_db` (differential planner
+    testing). ``db`` substitutes a pre-built database (the
     durability tests run the same schedule on a disk-backed engine)."""
     if db is None:
-        db = program.build_db(sanitize=sanitize, perf=perf, analyze=analyze)
+        db = program.build_db(sanitize=sanitize, analyze=analyze)
     scheduler = Scheduler(db, policy=policy)
     cells = attach_clients(program, db, scheduler, isolation,
                            max_retries=max_retries)

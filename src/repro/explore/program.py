@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.config import EngineConfig, PerfConfig, SanitizerConfig
+from repro.config import EngineConfig, SanitizerConfig
 from repro.engine.database import Database
 from repro.engine.isolation import IsolationLevel
 from repro.engine.predicate import AlwaysTrue, Between, Eq, Predicate
@@ -241,15 +241,13 @@ class Program:
     # -- execution --------------------------------------------------------
     def build_db(self, *, record_history: bool = True,
                  sanitize: bool = False,
-                 perf: Optional[PerfConfig] = None,
                  analyze: bool = False,
                  config: Optional[EngineConfig] = None) -> Database:
         """Fresh database loaded with the initial state.
 
-        ``perf`` overrides the performance toggles (the differential
-        planner suite runs the same program with the cost planner on
-        and off); ``analyze`` collects catalog statistics after the
-        initial load so the cost planner has something to price with;
+        ``analyze`` collects catalog statistics after the initial load
+        so the cost planner has something to price with (the planner
+        differential suite runs the same program with and without);
         ``config`` replaces the whole EngineConfig (the durability
         differential tests run programs against a disk-backed engine).
         """
@@ -257,8 +255,6 @@ class Program:
             config = EngineConfig(record_history=record_history)
         if sanitize:
             config.sanitize = SanitizerConfig.all_on(sweep_interval=4)
-        if perf is not None:
-            config.perf = perf
         db = Database(config)
         for spec in self.tables:
             db.create_table(spec.name, spec.columns, key=spec.key)

@@ -147,18 +147,18 @@ def run_replay(replay: Replay,
                strict: Optional[bool] = None,
                sanitize: bool = True,
                max_steps: int = 4000,
-               perf=None, analyze: bool = False) -> ReplayResult:
+               analyze: bool = False) -> ReplayResult:
     """Re-execute a replay file and evaluate its expectations under the
-    given isolation level (default: the file's own). ``perf`` and
-    ``analyze`` pass through to the database build (differential
-    planner testing: same schedule, different scan plans)."""
+    given isolation level (default: the file's own). ``analyze``
+    passes through to the database build (differential planner
+    testing: same schedule, different scan plans)."""
     iso = isolation or replay.isolation
     if strict is None:
         strict = iso is replay.isolation
     policy = FixedSchedulePolicy(replay.schedule, strict=strict)
     record = execute_schedule(replay.program, iso, policy.pick,
                               max_steps=max_steps, sanitize=sanitize,
-                              perf=perf, analyze=analyze)
+                              analyze=analyze)
     result = ReplayResult(isolation=iso, record=record,
                           diverged=policy.diverged)
     _evaluate(replay, result)

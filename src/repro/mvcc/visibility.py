@@ -11,13 +11,13 @@ exactly the information SSI mines for write-before-read rw-conflicts
 * a tuple still visible although it has a deleter, because the deleter
   had not committed at snapshot time -> rw-conflict reader -> deleter.
 
-With ``use_hints`` enabled the checks consult (and lazily set) the
-tuple's infomask hint bits: once the commit log has delivered a final
-verdict on xmin or xmax it is cached in the tuple header, and repeat
-checks answer from the header without touching the CLOG. A hint bit is
-only ever set to a status that can never change again, so hinted and
-unhinted evaluation always agree; ``hint_counter`` (an obs Counter)
-counts the CLOG lookups avoided.
+The checks consult (and lazily set) the tuple's infomask hint bits, as
+PostgreSQL's HeapTupleSatisfiesMVCC does: once the commit log has
+delivered a final verdict on xmin or xmax it is cached in the tuple
+header, and repeat checks answer from the header without touching the
+CLOG. A hint bit is only ever set to a status that can never change
+again, so a hinted answer always equals the CLOG's; ``hint_counter``
+(an obs Counter) counts the CLOG lookups avoided.
 """
 
 from __future__ import annotations
@@ -61,114 +61,101 @@ class VisibilityResult:
     deleter_xid: int = INVALID_XID
 
 
-#: Shared results for the hint/visibility-map fast paths (the frozen
-#: dataclass is immutable, so reuse is safe and skips an allocation on
-#: the hottest return paths).
+#: Shared results for the commonest answers (the frozen dataclass is
+#: immutable, so reuse is safe and skips an allocation on the hottest
+#: return paths).
 ALL_VISIBLE = VisibilityResult(True)
 _INVISIBLE = VisibilityResult(False)
 
 
 def tuple_visibility(tup, snapshot: Snapshot, view: TxnView,
-                     clog: CommitLog, use_hints: bool = False,
-                     hint_counter=None) -> VisibilityResult:
+                     clog: CommitLog, hint_counter=None) -> VisibilityResult:
     """Evaluate ``tup`` against ``snapshot`` for the transaction ``view``.
 
-    ``tup`` needs attributes ``xmin``, ``cmin``, ``xmax``, ``cmax`` and
+    ``tup`` needs attributes ``xmin``, ``cmin``, ``xmax``, ``cmax``,
     ``xmax_lock_only`` (a FOR UPDATE-style locker stored in xmax does
-    not delete the tuple, mirroring HEAP_XMAX_LOCK_ONLY); with
-    ``use_hints`` also the four hint-bit attributes.
+    not delete the tuple, mirroring HEAP_XMAX_LOCK_ONLY) and the four
+    hint-bit attributes.
     """
     xmin = tup.xmin
 
-    if use_hints:
-        # --- creator, hinted ------------------------------------------
-        if tup.xmin_aborted:
-            # Dead on arrival (includes our own aborted subtransactions,
-            # whose abort is just as final).
-            if hint_counter is not None:
-                hint_counter.inc()
-            return _INVISIBLE
-        if tup.xmin_committed:
-            # A committed xmin cannot be ours (our xids are in progress
-            # until we finish), so only the snapshot window matters.
-            if hint_counter is not None:
-                hint_counter.inc()
-            if snapshot.xid_in_progress_at_snapshot(xmin):
-                return VisibilityResult(False, creator_concurrent=True,
-                                        creator_xid=xmin)
-            return _check_deleter(tup, snapshot, view, clog,
-                                  creator_mine=False, use_hints=True,
-                                  hint_counter=hint_counter)
+    # --- creator, hinted ----------------------------------------------
+    if tup.xmin_aborted:
+        # Dead on arrival (includes our own aborted subtransactions,
+        # whose abort is just as final).
+        if hint_counter is not None:
+            hint_counter.inc()
+        return _INVISIBLE
+    if tup.xmin_committed:
+        # A committed xmin cannot be ours (our xids are in progress
+        # until we finish), so only the snapshot window matters.
+        if hint_counter is not None:
+            hint_counter.inc()
+        if snapshot.xid_in_progress_at_snapshot(xmin):
+            return VisibilityResult(False, creator_concurrent=True,
+                                    creator_xid=xmin)
+        return _check_deleter(tup, snapshot, view, clog, hint_counter)
 
     # --- creator -------------------------------------------------------
     if clog.did_abort(xmin):
-        # Dead on arrival (includes our own aborted subtransactions).
-        if use_hints:
-            tup.xmin_aborted = True
-        return VisibilityResult(False)
+        tup.xmin_aborted = True
+        return _INVISIBLE
 
     if xmin in view.xids:
         if tup.cmin >= view.curcid:
             # Inserted by the current command: invisible to it
             # (Halloween protection).
-            return VisibilityResult(False)
-        return _check_deleter(tup, snapshot, view, clog, creator_mine=True,
-                              use_hints=use_hints, hint_counter=hint_counter)
+            return _INVISIBLE
+        return _check_deleter(tup, snapshot, view, clog, hint_counter)
 
     if not snapshot.committed_visible(xmin, clog):
         # Creator still in progress, or committed after our snapshot:
         # a concurrent writer whose update we are not seeing.
-        if use_hints and clog.did_commit(xmin):
+        if clog.did_commit(xmin):
             tup.xmin_committed = True
         return VisibilityResult(False, creator_concurrent=True,
                                 creator_xid=xmin)
 
-    if use_hints:
-        tup.xmin_committed = True
-    return _check_deleter(tup, snapshot, view, clog, creator_mine=False,
-                          use_hints=use_hints, hint_counter=hint_counter)
+    tup.xmin_committed = True
+    return _check_deleter(tup, snapshot, view, clog, hint_counter)
 
 
 def _check_deleter(tup, snapshot: Snapshot, view: TxnView, clog: CommitLog,
-                   creator_mine: bool, use_hints: bool = False,
-                   hint_counter=None) -> VisibilityResult:
+                   hint_counter) -> VisibilityResult:
     xmax = tup.xmax
     if xmax == INVALID_XID or tup.xmax_lock_only:
-        return ALL_VISIBLE if use_hints else VisibilityResult(True)
+        return ALL_VISIBLE
 
-    if use_hints:
-        if tup.xmax_aborted:
-            if hint_counter is not None:
-                hint_counter.inc()
-            return ALL_VISIBLE
-        if tup.xmax_committed:
-            # A committed xmax cannot be ours while we are running.
-            if hint_counter is not None:
-                hint_counter.inc()
-            if snapshot.xid_in_progress_at_snapshot(xmax):
-                return VisibilityResult(True, deleter_concurrent=True,
-                                        deleter_xid=xmax)
-            return _INVISIBLE
+    if tup.xmax_aborted:
+        if hint_counter is not None:
+            hint_counter.inc()
+        return ALL_VISIBLE
+    if tup.xmax_committed:
+        # A committed xmax cannot be ours while we are running.
+        if hint_counter is not None:
+            hint_counter.inc()
+        if snapshot.xid_in_progress_at_snapshot(xmax):
+            return VisibilityResult(True, deleter_concurrent=True,
+                                    deleter_xid=xmax)
+        return _INVISIBLE
 
     if clog.did_abort(xmax):
-        if use_hints:
-            tup.xmax_aborted = True
-        return VisibilityResult(True)
+        tup.xmax_aborted = True
+        return ALL_VISIBLE
 
     if xmax in view.xids:
         if tup.cmax >= view.curcid:
             # Being deleted by the current command; still visible to it.
-            return VisibilityResult(True)
-        return VisibilityResult(False)
+            return ALL_VISIBLE
+        return _INVISIBLE
 
     if snapshot.committed_visible(xmax, clog):
-        if use_hints:
-            tup.xmax_committed = True
-        return VisibilityResult(False)
+        tup.xmax_committed = True
+        return _INVISIBLE
 
     # Deleter in progress or committed after our snapshot: we still see
     # the tuple, and the deleter is a concurrent writer.
-    if use_hints and clog.did_commit(xmax):
+    if clog.did_commit(xmax):
         tup.xmax_committed = True
     return VisibilityResult(True, deleter_concurrent=True, deleter_xid=xmax)
 
@@ -197,7 +184,7 @@ def page_all_visible(tuples, clog: CommitLog,
 
 
 def tuple_is_dead(tup, horizon_xmin: int, clog: CommitLog, *,
-                  use_hints: bool = False, hint_counter=None) -> bool:
+                  hint_counter=None) -> bool:
     """Can VACUUM remove this tuple?
 
     True when no current or future snapshot can see it: its creator
@@ -205,29 +192,26 @@ def tuple_is_dead(tup, horizon_xmin: int, clog: CommitLog, *,
     snapshot window (``horizon_xmin`` = min over active snapshots of
     ``xmin``).
     """
-    if use_hints and tup.xmin_aborted:
+    if tup.xmin_aborted:
         if hint_counter is not None:
             hint_counter.inc()
         return True
     if clog.did_abort(tup.xmin):
-        if use_hints:
-            tup.xmin_aborted = True
+        tup.xmin_aborted = True
         return True
     if tup.xmax == INVALID_XID or tup.xmax_lock_only:
         return False
-    if use_hints:
-        if tup.xmax_aborted:
-            if hint_counter is not None:
-                hint_counter.inc()
-            return False
-        if tup.xmax_committed:
-            if hint_counter is not None:
-                hint_counter.inc()
-            return tup.xmax < horizon_xmin
+    if tup.xmax_aborted:
+        if hint_counter is not None:
+            hint_counter.inc()
+        return False
+    if tup.xmax_committed:
+        if hint_counter is not None:
+            hint_counter.inc()
+        return tup.xmax < horizon_xmin
     if not clog.did_commit(tup.xmax):
-        if use_hints and clog.did_abort(tup.xmax):
+        if clog.did_abort(tup.xmax):
             tup.xmax_aborted = True
         return False
-    if use_hints:
-        tup.xmax_committed = True
+    tup.xmax_committed = True
     return tup.xmax < horizon_xmin

@@ -21,6 +21,13 @@ kind                emitted when
 ``txn.commit``      a transaction commits (``commit_seq`` for SSI ones)
 ``txn.abort``       a transaction rolls back
 ``read.tuple``      a serializable transaction examines a heap tuple
+                    that needs SSI bookkeeping (a tuple lock to take,
+                    or rw-conflict evidence to act on)
+``read.page``       a scan reads ``tuples`` tuples of one heap page that
+                    an SIREAD lock the reader holds already covers
+                    (site = the page target): once per page for a
+                    sequential scan, once per covered tuple for an
+                    index scan
 ``scan.rel``        a sequential scan takes a relation SIREAD lock
 ``write.tuple``     a heap write checks SIREAD holders
 ``rw.conflict``     an rw-antidependency edge is recorded (reader, writer,

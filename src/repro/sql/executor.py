@@ -4,8 +4,7 @@ The statement hot path is cached at two levels (see DESIGN.md, "Query
 planning"):
 
 * a per-session LRU **parse cache** (SQL text -> AST; the AST nodes
-  are frozen dataclasses, so sharing them across executions is safe),
-  behind ``PerfConfig.parse_cache``;
+  are frozen dataclasses, so sharing them across executions is safe);
 * **prepared statements** (``PREPARE name AS ... / EXECUTE name(...)``)
   whose generic plan is re-derived only when the stats epoch moved --
   ANALYZE and DDL bump the epoch, flushing stale plans exactly like
@@ -424,7 +423,6 @@ class SQLSession:
     def __init__(self, session) -> None:
         self.session = session
         self.db = session.db
-        self._use_parse_cache = self.db.config.perf.parse_cache
         self._parse_cache: "OrderedDict[str, Any]" = OrderedDict()
         metrics = self.db.obs.metrics
         self._parse_hits = metrics.counter("perf.parse_cache_hits")
@@ -440,8 +438,6 @@ class SQLSession:
     def _parse(self, sql: str):
         """Parse with the LRU statement cache (ASTs are frozen, so a
         cached statement is safe to re-execute)."""
-        if not self._use_parse_cache:
-            return parse(sql)
         cached = self._parse_cache.get(sql)
         if cached is not None:
             self._parse_cache.move_to_end(sql)
@@ -465,7 +461,7 @@ class SQLSession:
         else:
             stmt = _dequalify_select(stmt)
             where = compile_condition(stmt.where)
-            if (self.db.use_vectorized and not stmt.for_update
+            if (not stmt.for_update
                     and not stmt.group_by and stmt.order_by is None
                     and stmt.items
                     and all(i.kind == "aggregate" for i in stmt.items)):
@@ -483,15 +479,12 @@ class SQLSession:
             if stmt.for_update:
                 rows = self.session.select_for_update(stmt.table, where)
                 copied = True
-            elif self.db.use_vectorized:
+            else:
                 # Zero-copy scan: rows alias live heap tuple payloads.
                 # Every downstream consumer here only reads them; the
                 # star projection below copies before returning.
                 rows = self.session.scan_rows(stmt.table, where)
                 copied = False
-            else:
-                rows = self.session.select(stmt.table, where)
-                copied = True
         if stmt.group_by:
             grouped = self._grouped_rows(stmt, rows)
             if stmt.order_by is not None:
@@ -636,13 +629,9 @@ class SQLSession:
 
     def _join_rows(self, stmt: ast.Select) -> List[Dict[str, Any]]:
         plan = self._analyze_join(stmt)
-        use_vec = self.db.use_vectorized
 
         def scan(table: str):
-            pred = plan.scan_preds[table]
-            if use_vec:
-                return self.session.scan_rows(table, pred)
-            return self.session.select(table, pred)
+            return self.session.scan_rows(table, plan.scan_preds[table])
 
         rows = scan(plan.tables[0])
         left_tables = [plan.tables[0]]

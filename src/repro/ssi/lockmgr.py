@@ -69,7 +69,7 @@ class SIReadLockManager:
         #: locks of summarized committed transactions: target -> newest
         #: holder's commit sequence number.
         self._summary: Dict[Target, float] = {}  # repro: guarded-by(ENGINE)
-        #: coverage cache for the reader fast path: per holder, the
+        #: coverage cache for the reader early exit: per holder, the
         #: relation oids and (rel oid, page) pairs it holds coarse
         #: (relation/page granularity) heap SIREAD locks on. Kept in
         #: sync by _add/_remove, so it is exact, not a heuristic.
@@ -103,10 +103,10 @@ class SIReadLockManager:
         """Does ``sx`` already hold a relation- or page-granularity
         SIREAD lock covering ``(rel_oid, page_no)``?
 
-        O(1) via the coverage cache; used by the reader fast path to
-        skip acquire_tuple entirely (which would dedupe-and-return
+        O(1) via the coverage cache; used by the reader early exit to
+        skip acquire_tuple entirely (which would dedupe and return
         anyway). Does not touch ``work_units``: the caller charges the
-        skipped acquisitions (SSIManager.note_fastpath_hits).
+        skipped acquisitions (SSIManager.note_covered_reads).
         """
         cover = self._cover.get(sx)
         return cover is not None and (rel_oid in cover[0]

@@ -36,7 +36,7 @@ from repro.ssi.sxact import (INFINITE_SEQ, DoomInfo, SerializableXact,
                              SummaryPseudoXact)
 from repro.ssi.targets import (heap_write_targets, index_inf_target,
                                index_insert_targets, index_key_target,
-                               index_rel_target, tuple_target)
+                               index_rel_target, page_target, tuple_target)
 from repro.storage.tuple import TID
 
 Participant = Union[SerializableXact, SummaryPseudoXact]
@@ -90,11 +90,6 @@ class SSIManager:
         self._own_work = 0  # repro: guarded-by(ENGINE)
         self.stats = SSIStats(self.obs.metrics)
         self._tracer = self.obs.tracer
-        #: Reader fast path (SSIConfig.siread_fast_path): disabled while
-        #: a tracer is installed so per-tuple read events keep appearing
-        #: in traces -- the fast path is a pure shortcut either way.
-        self._read_fast_path = (bool(config.siread_fast_path)
-                                and self._tracer is None)
         self._fastpath_hits = self.obs.metrics.counter(
             "perf.siread_fastpath_hits")
         #: ssi.aborts{cause=...}: serialization failures by cause.
@@ -260,16 +255,15 @@ class SSIManager:
         """
         if sx is None or sx.ro_safe:
             return
-        if (self._read_fast_path and vis.visible
-                and not vis.deleter_concurrent
+        if (vis.visible and not vis.deleter_concurrent
                 and self.lockmgr.covers_read(sx, rel_oid, tup.tid.page)):
-            # A relation- or page-granularity SIREAD lock we already
-            # hold covers this tuple, and the visibility result carries
-            # no rw-conflict evidence: acquire_tuple would dedupe and
-            # return, and there is no conflict to flag. Skip the whole
-            # call (doom still fails fast, as at any other operation).
+            # PredicateLockTuple's early exit: a relation- or
+            # page-granularity SIREAD lock we already hold covers this
+            # tuple, and the visibility result carries no rw-conflict
+            # evidence, so there is nothing to lock and nothing to flag
+            # (doom still fails fast, as at any other operation).
             self.ensure_not_doomed(sx)
-            self.note_fastpath_hits(1)
+            self.note_covered_reads(sx, rel_oid, tup.tid.page, 1)
             return
         self.ensure_not_doomed(sx)
         site = None
@@ -290,15 +284,16 @@ class SSIManager:
 
     def read_page_covered(self, sx: Optional[SerializableXact],
                           rel_oid: int, page_no: int) -> bool:
-        """Batch-executor hoist of the on_read_tuple read fast path.
+        """The on_read_tuple early exit, hoisted to once per page.
 
         True means: for any tuple on this page whose visibility result
         is visible-with-no-concurrent-deleter, on_read_tuple would take
-        the fast path (a covering page/relation SIREAD lock is already
-        held, so acquire_tuple would dedupe and there is no conflict to
-        flag) -- the caller may skip those calls for the whole page.
-        Tuples with conflict evidence (invisible, or concurrent
-        deleter) must still go through on_read_tuple individually.
+        the early exit (a covering page/relation SIREAD lock is already
+        held, so there is nothing to lock and no conflict to flag) --
+        the caller may skip those calls for the whole page and report
+        them through note_covered_reads. Tuples with conflict evidence
+        (invisible, or concurrent deleter) must still go through
+        on_read_tuple individually.
 
         The coverage check keys on (relation, page), so it cannot
         change between tuples of one page; the doom check runs once
@@ -307,22 +302,29 @@ class SSIManager:
         """
         if sx is None or sx.ro_safe:
             return True  # on_read_tuple is a no-op for every tuple
-        if not self._read_fast_path:
-            return False
         if self.lockmgr.covers_read(sx, rel_oid, page_no):
             self.ensure_not_doomed(sx)
             return True
         return False
 
-    def note_fastpath_hits(self, n: int) -> None:
-        """Account for ``n`` covered reads the fast path skipped.
+    def note_covered_reads(self, sx: Optional[SerializableXact],
+                           rel_oid: int, page_no: int, n: int) -> None:
+        """Account for ``n`` reads on one page that a covering SIREAD
+        lock let the caller skip.
 
-        Charges the work unit per read that the skipped acquire_tuple
-        would have charged on finding the covering lock, so the
-        simulated cost model sees the same bookkeeping with the fast
-        path on or off, and counts perf.siread_fastpath_hits."""
+        Charges the lock manager the work unit per read that the
+        skipped acquire_tuple would have charged on finding the
+        covering lock (so the simulated cost model sees the same
+        bookkeeping either way), counts ``perf.siread_fastpath_hits``,
+        and emits one ``read.page`` trace event for the page.
+        """
+        if sx is None or sx.ro_safe:
+            return
         self.lockmgr.work_units += n
         self._fastpath_hits.inc(n)
+        if self._tracer is not None:
+            self._tracer.emit("read.page", sx.xid,
+                              site=page_target(rel_oid, page_no), tuples=n)
 
     def on_scan_relation(self, sx: Optional[SerializableXact],
                          rel_oid: int) -> None:

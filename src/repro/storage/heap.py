@@ -15,32 +15,20 @@ from repro.storage.vismap import VisibilityMap
 class Heap:
     """Append-mostly tuple storage with slot reuse after VACUUM.
 
-    Free space is tracked two ways so ``insert`` never degrades to an
-    O(pages) rescan:
-
-    * with the FSM enabled (default), a min-heap of page numbers that
-      have had a slot vacuumed, popped lazily as pages refill;
-    * with it disabled, a lowest-page-with-room hint that the linear
-      probe starts from (lowered on vacuum, advanced past full pages).
-
-    Both pick the same page -- the lowest-numbered page with room, the
-    original scan order -- so the toggle changes cost, not placement.
+    Free space is tracked by a free-space map (FSM): a min-heap of page
+    numbers that have had a slot vacuumed, popped lazily as pages
+    refill, so ``insert`` finds the lowest-numbered page with room in
+    O(1) instead of rescanning the heap.
     """
 
-    def __init__(self, page_size: int, *, use_fsm: bool = True,
-                 track_all_visible: bool = True) -> None:
+    def __init__(self, page_size: int) -> None:
         self.page_size = page_size
         self._pages: List[HeapPage] = []
-        self._use_fsm = use_fsm
-        self._track_vis = track_all_visible
         #: All-visible page bits (see repro.storage.vismap).
         self.vismap = VisibilityMap()
         #: FSM: min-heap + membership set of pages with vacuumed slots.
         self._free_pages: List[int] = []
         self._free_set: set = set()
-        #: Non-FSM probe start: no page below this has room (except the
-        #: tail, which is checked separately).
-        self._room_hint = 0
 
     # -- basic access ----------------------------------------------------
     @property
@@ -71,27 +59,17 @@ class Heap:
         if page_no not in self._free_set:
             self._free_set.add(page_no)
             heapq.heappush(self._free_pages, page_no)
-        if page_no < self._room_hint:
-            self._room_hint = page_no
 
     def _page_with_room(self) -> HeapPage:
         # The last page first (the common append case), then the lowest
         # page with a vacuumed slot, then extend.
         if self._pages and self._pages[-1].has_room():
             return self._pages[-1]
-        if self._use_fsm:
-            while self._free_pages:
-                page = self._pages[self._free_pages[0]]
-                if page.has_room():
-                    return page
-                self._free_set.discard(heapq.heappop(self._free_pages))
-        else:
-            n = len(self._pages)
-            while self._room_hint < n:
-                page = self._pages[self._room_hint]
-                if page.has_room():
-                    return page
-                self._room_hint += 1
+        while self._free_pages:
+            page = self._pages[self._free_pages[0]]
+            if page.has_room():
+                return page
+            self._free_set.discard(heapq.heappop(self._free_pages))
         page = HeapPage(len(self._pages), self.page_size)
         self._pages.append(page)
         return page
@@ -107,7 +85,6 @@ class Heap:
         self.vismap = VisibilityMap()
         self._free_pages = []
         self._free_set = set()
-        self._room_hint = 0
         for page in self._pages[:-1] if self._pages else []:
             # Interior pages advertise room only via vacuumed slots
             # (matching _note_free semantics); the tail page is always
@@ -126,7 +103,7 @@ class Heap:
 
     # -- maintenance ---------------------------------------------------------
     def vacuum(self, horizon_xmin: int, clog: CommitLog, *,
-               use_hints: bool = False, hint_counter=None) -> List[HeapTuple]:
+               hint_counter=None) -> List[HeapTuple]:
         """Remove tuple versions no snapshot can see.
 
         Returns the removed tuples (they carry their TID and data) so
@@ -143,29 +120,18 @@ class Heap:
             for slot in range(page.capacity):
                 tup = page.get(slot)
                 if tup is not None and tuple_is_dead(
-                        tup, horizon_xmin, clog,
-                        use_hints=use_hints, hint_counter=hint_counter):
+                        tup, horizon_xmin, clog, hint_counter=hint_counter):
                     page.remove(slot)
                     removed.append(tup)
                     self._note_free(page.page_no)
-            if self._track_vis:
-                if page_all_visible(page.tuples(), clog,
-                                    horizon_xmin=horizon_xmin):
-                    self.vismap.set_all_visible(page.page_no)
-                else:
-                    self.vismap.clear(page.page_no)
+            if page_all_visible(page.tuples(), clog,
+                                horizon_xmin=horizon_xmin):
+                self.vismap.set_all_visible(page.page_no)
+            else:
+                self.vismap.clear(page.page_no)
         return removed
 
     # -- introspection (free-space tracking; used by repro.analysis) ------
-    @property
-    def uses_fsm(self) -> bool:
-        return self._use_fsm
-
-    @property
-    def room_hint(self) -> int:
-        """Non-FSM probe start: no non-tail page below it has room."""
-        return self._room_hint
-
     def fsm_entries(self) -> set:
         """Page numbers currently in the free-space map (lazy-deleted:
         entries may point at pages that refilled since)."""
@@ -180,8 +146,7 @@ class Heap:
         relation granularity (paper section 5.2.1). The new heap starts
         with an empty visibility map (VACUUM rebuilds it).
         """
-        new = Heap(self.page_size, use_fsm=self._use_fsm,
-                   track_all_visible=self._track_vis)
+        new = Heap(self.page_size)
         for tup in self.scan():
             if keep(tup):
                 page = new._page_with_room()

@@ -17,13 +17,11 @@ class Relation:
     """
 
     def __init__(self, oid: int, name: str, columns: Sequence[str],
-                 page_size: int, *, use_fsm: bool = True,
-                 track_all_visible: bool = True) -> None:
+                 page_size: int) -> None:
         self.oid = oid
         self.name = name
         self.columns: List[str] = list(columns)
-        self.heap = Heap(page_size, use_fsm=use_fsm,
-                         track_all_visible=track_all_visible)
+        self.heap = Heap(page_size)
         self.indexes: Dict[str, object] = {}
 
     def add_index(self, index) -> None:

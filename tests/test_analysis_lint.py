@@ -363,57 +363,6 @@ class TestLockRules:
         assert rule_ids(report) == ["LOCK002"]
 
 
-class TestTogglePurity:
-    def test_work_units_in_fast_path_flagged(self, tmp_path):
-        report = lint_snippet(tmp_path, """
-            class Scan:
-                def run(self):
-                    if self.config.siread_fast_path:
-                        self.work_units += 1
-            """)
-        assert rule_ids(report) == ["CFG001"]
-        assert "siread_fast_path" in report.findings[0].message
-
-    def test_negated_toggle_flags_else_branch(self, tmp_path):
-        report = lint_snippet(tmp_path, """
-            class Scan:
-                def run(self):
-                    if not self.config.hint_bits:
-                        pass
-                    else:
-                        self.work_units += 1
-            """)
-        assert rule_ids(report) == ["CFG001"]
-
-    def test_cost_planner_toggle_covered(self, tmp_path):
-        report = lint_snippet(tmp_path, """
-            class Planner:
-                def plan(self):
-                    if self.use_cost:
-                        self.work_units += 1
-            """)
-        assert rule_ids(report) == ["CFG001"]
-        assert "use_cost" in report.findings[0].message
-
-    def test_plan_cache_toggle_covered(self, tmp_path):
-        report = lint_snippet(tmp_path, """
-            class Planner:
-                def plan(self, config):
-                    if config.perf.plan_cache:
-                        self.work_units += 1
-            """)
-        assert rule_ids(report) == ["CFG001"]
-
-    def test_slow_path_accounting_is_fine(self, tmp_path):
-        report = lint_snippet(tmp_path, """
-            class Scan:
-                def run(self):
-                    if not self.config.hint_bits:
-                        self.work_units += 1
-            """)
-        assert report.ok
-
-
 class TestHygieneRules:
     def test_mutable_default_flagged_everywhere(self, tmp_path):
         report = lint_snippet(tmp_path, """

@@ -214,8 +214,7 @@ class TestHeapSanitizer:
         page = next(heap.scan_pages())
         assert not page.has_room()
         page.remove(0)
-        if heap.uses_fsm:
-            assert page.page_no not in heap.fsm_entries()
+        assert page.page_no not in heap.fsm_entries()
         raises_invariant(lambda: HeapSanitizer(db).check(),
                          "fsm-missing-page", "heap")
 

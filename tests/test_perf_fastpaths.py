@@ -1,26 +1,29 @@
-"""The performance layer (hint bits, visibility map, FSM, SSI fast
-paths) must change cost, never behaviour.
+"""The performance layer (hint bits, visibility map, FSM, SSI read
+early exit) must change cost, never behaviour.
 
 * Hint bits are only ever set to a status that agrees with the commit
-  log, across commits, aborts, subtransactions and two-phase commit.
+  log, across commits, aborts, subtransactions and two-phase commit,
+  so a hinted visibility verdict always equals the CLOG's.
 * Visibility-map bits are set only by VACUUM, cleared by every write
   path, and scans over all-visible pages never surface dead tuples or
   rows invisible to old snapshots.
-* The FSM picks the same page (and slot) the seed's linear probe
-  picked, so TIDs are identical with the toggle on or off.
-* The SSI read fast paths leave outcomes, abort causes, and the SIREAD
-  lock table exactly as the slow path does.
-* With every toggle off, the engine behaves exactly like the seed.
+* The FSM places each insert where a linear probe would: the tail page
+  if it has room, else the lowest page with a vacuumed slot.
+* The SSI read early exit fires under a covering relation lock, charges
+  the work the skipped lock acquisition would have, and leaves
+  outcomes, abort causes and the SIREAD lock table unchanged -- with
+  or without tracing, over all-visible pages or not.
 """
 
 import random
 
 import pytest
 
-from repro.config import EngineConfig, PerfConfig, SSIConfig
+from repro.config import EngineConfig, ObsConfig
 from repro.engine import Database, Eq, IsolationLevel
-from repro.errors import SerializationFailure
+from repro.errors import AbortCause, SerializationFailure
 from repro.mvcc.snapshot import Snapshot
+from repro.mvcc.visibility import TxnView, tuple_visibility
 from repro.storage.page import HeapPage
 from repro.storage.tuple import TID, HeapTuple
 from repro.storage.vismap import VisibilityMap
@@ -29,10 +32,8 @@ SER = IsolationLevel.SERIALIZABLE
 RR = IsolationLevel.REPEATABLE_READ
 
 
-def config(fast: bool, **engine_kwargs) -> EngineConfig:
-    return EngineConfig(
-        perf=PerfConfig(hint_bits=fast, visibility_map=fast, fsm=fast),
-        ssi=SSIConfig(siread_fast_path=fast), **engine_kwargs)
+def traced_config() -> EngineConfig:
+    return EngineConfig(obs=ObsConfig(enabled=True))
 
 
 def all_tuples(db):
@@ -89,7 +90,7 @@ class TestSlots:
 # ----------------------------------------------------------------------
 class TestHintBits:
     def test_scan_sets_bits_that_agree_with_clog(self):
-        db = Database(config(True))
+        db = Database(EngineConfig())
         db.create_table("t", ["k"])
         s = db.session()
         for k in range(5):
@@ -107,7 +108,7 @@ class TestHintBits:
         assert db.obs.metrics.counter("perf.hint_hits").value > before
 
     def test_no_bit_set_for_in_progress_xid(self):
-        db = Database(config(True))
+        db = Database(EngineConfig())
         db.create_table("t", ["k"])
         writer = db.session()
         writer.begin(RR)
@@ -120,7 +121,7 @@ class TestHintBits:
         assert next(all_tuples(db)).xmin_committed
 
     def test_restamped_xmax_resets_hint(self):
-        db = Database(config(True))
+        db = Database(EngineConfig())
         db.create_table("t", ["k", "v"])
         s = db.session()
         s.insert("t", {"k": 1, "v": 0})
@@ -138,76 +139,77 @@ class TestHintBits:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_randomized_mix_sound_and_equivalent(self, seed):
-        """Random commits/aborts/subxacts/2PC: bits stay sound and
-        hinted visibility equals unhinted visibility."""
-        def run(fast):
-            db = Database(config(fast))
-            db.create_table("t", ["k", "v"], key="k")
-            rng = random.Random(seed)
-            sessions = [db.session() for _ in range(3)]
-            reads = []
-            for step in range(120):
-                s = rng.choice(sessions)
-                op = rng.random()
-                try:
-                    if not s.in_transaction:
-                        s.begin(rng.choice([RR, SER]))
-                    if op < 0.35:
-                        s.insert("t", {"k": rng.randrange(60),
-                                       "v": step})
-                    elif op < 0.55:
-                        s.update("t", Eq("k", rng.randrange(60)),
-                                 {"v": step})
-                    elif op < 0.65:
-                        s.delete("t", Eq("k", rng.randrange(60)))
-                    elif op < 0.80:
-                        s.savepoint("sp")
-                        s.insert("t", {"k": rng.randrange(60, 90),
-                                       "v": step})
+        """Random commits/aborts/subxacts/2PC: bits stay sound, and the
+        hinted verdict on every tuple equals the verdict on an unhinted
+        copy (which must consult the CLOG), for snapshots old and new."""
+        db = Database(EngineConfig())
+        db.create_table("t", ["k", "v"], key="k")
+        rng = random.Random(seed)
+        sessions = [db.session() for _ in range(3)]
+        snapshots = []
+        for step in range(120):
+            s = rng.choice(sessions)
+            op = rng.random()
+            try:
+                if not s.in_transaction:
+                    s.begin(rng.choice([RR, SER]))
+                if op < 0.35:
+                    s.insert("t", {"k": rng.randrange(60), "v": step})
+                elif op < 0.55:
+                    s.update("t", Eq("k", rng.randrange(60)), {"v": step})
+                elif op < 0.65:
+                    s.delete("t", Eq("k", rng.randrange(60)))
+                elif op < 0.80:
+                    s.savepoint("sp")
+                    s.insert("t", {"k": rng.randrange(60, 90), "v": step})
+                    if rng.random() < 0.5:
+                        s.rollback_to_savepoint("sp")
+                elif op < 0.9:
+                    s.select("t")
+                    snapshots.append(db.take_snapshot())
+                else:
+                    if rng.random() < 0.3:
+                        s.prepare_transaction(f"g{step}")
                         if rng.random() < 0.5:
-                            s.rollback_to_savepoint("sp")
-                    elif op < 0.9:
-                        rows = s.select("t")
-                        reads.append(sorted((r["k"], r["v"])
-                                            for r in rows))
-                    else:
-                        if rng.random() < 0.3:
-                            s.prepare_transaction(f"g{step}")
-                            if rng.random() < 0.5:
-                                db.commit_prepared(f"g{step}")
-                            else:
-                                db.rollback_prepared(f"g{step}")
-                        elif rng.random() < 0.5:
-                            s.commit()
+                            db.commit_prepared(f"g{step}")
                         else:
-                            s.rollback()
+                            db.rollback_prepared(f"g{step}")
+                    elif rng.random() < 0.5:
+                        s.commit()
+                    else:
+                        s.rollback()
+            except Exception:
+                pass
+            if rng.random() < 0.1:
+                db.vacuum()
+        for s in sessions:
+            if s.in_transaction:
+                try:
+                    s.rollback()
                 except Exception:
                     pass
-                if rng.random() < 0.1:
-                    db.vacuum()
-            for s in sessions:
-                if s.in_transaction:
-                    try:
-                        s.rollback()
-                    except Exception:
-                        pass
-            final = sorted((r["k"], r["v"])
-                           for r in db.session().select("t"))
-            return db, reads, final
-
-        db_fast, reads_fast, final_fast = run(True)
-        assert_hints_sound(db_fast)
-        db_slow, reads_slow, final_slow = run(False)
-        assert reads_fast == reads_slow
-        assert final_fast == final_slow
+        db.session().select("t")  # hint everything that is final
+        assert_hints_sound(db)
+        snapshots.append(db.take_snapshot())
+        view = TxnView(xids=frozenset(), curcid=0)
+        hinted = 0
+        for tup in all_tuples(db):
+            bare = HeapTuple(tid=tup.tid, data=tup.data, xmin=tup.xmin,
+                             cmin=tup.cmin, xmax=tup.xmax, cmax=tup.cmax,
+                             xmax_lock_only=tup.xmax_lock_only)
+            hinted += tup.xmin_committed or tup.xmin_aborted
+            for snap in snapshots:
+                assert (tuple_visibility(tup, snap, view, db.clog)
+                        == tuple_visibility(bare, snap, view, db.clog))
+        assert hinted > 0
 
 
 # ----------------------------------------------------------------------
 # visibility map
 # ----------------------------------------------------------------------
 class TestVisibilityMap:
-    def setup_db(self, fast=True, rows=12):
-        db = Database(config(fast))
+    def setup_db(self, rows=12, config=None):
+        db = Database(config or EngineConfig())
         db.create_table("t", ["k", "v"])
         s = db.session()
         for k in range(rows):
@@ -226,6 +228,26 @@ class TestVisibilityMap:
         rows = db.session().select("t")
         assert len(rows) == 12
         assert db.obs.metrics.counter("perf.vismap_skips").value > before
+
+    def test_traced_scan_takes_the_all_visible_shortcut(self):
+        """Tracing watches the scan path, it does not replace it: a
+        traced sequential scan over a vacuumed table still skips the
+        MVCC checks, and the tracer gets one read.page event per
+        covered page, carrying the page's tuple count."""
+        db = self.setup_db(rows=40, config=traced_config())
+        heap = db.relation("t").heap
+        skips = db.obs.metrics.counter("perf.vismap_skips")
+        before = skips.value
+        s = db.session()
+        s.begin(SER)
+        assert len(s.select("t")) == 40
+        xid = s.txn.xid
+        s.commit()
+        assert skips.value - before == heap.page_count
+        events = db.obs.trace_events(kind="read.page", xid=xid)
+        assert len(events) == heap.page_count
+        assert sum(e.data["tuples"] for e in events) == 40
+        assert not db.obs.trace_events(kind="read.tuple", xid=xid)
 
     @pytest.mark.parametrize("write", ["insert", "update", "delete",
                                        "for_update"])
@@ -294,37 +316,50 @@ class TestVisibilityMap:
 # free-space map
 # ----------------------------------------------------------------------
 class TestFSM:
+    @staticmethod
+    def probe(heap) -> int:
+        """Where a linear probe (the heap without an FSM) would put the
+        next insert: the tail page if it has room, else the lowest page
+        with room, else a new page."""
+        pages = list(heap.scan_pages())
+        if pages and pages[-1].has_room():
+            return pages[-1].page_no
+        for page in pages:
+            if page.has_room():
+                return page.page_no
+        return len(pages)
+
     @pytest.mark.parametrize("seed", [11, 22, 33])
     def test_placement_identical_with_and_without_fsm(self, seed):
-        def run(fsm):
-            db = Database(EngineConfig(perf=PerfConfig(fsm=fsm)))
-            db.create_table("t", ["k"])
-            s = db.session()
-            rng = random.Random(seed)
-            tids = []
-            live = set()
-            for step in range(300):
-                op = rng.random()
-                if op < 0.6 or not live:
-                    k = step
-                    tids.append(tuple(s.insert("t", {"k": k})))
-                    live.add(k)
-                elif op < 0.9:
-                    k = rng.choice(sorted(live))
-                    s.delete("t", Eq("k", k))
-                    live.discard(k)
-                else:
-                    db.vacuum()
-            db.vacuum()
-            contents = sorted((tuple(t.tid), t.data["k"])
-                              for t in db.relation("t").heap.scan())
-            return tids, contents
-
-        assert run(True) == run(False)
+        db = Database(EngineConfig())
+        db.create_table("t", ["k"])
+        heap = db.relation("t").heap
+        s = db.session()
+        rng = random.Random(seed)
+        live = set()
+        reused = 0
+        for step in range(300):
+            op = rng.random()
+            if op < 0.6 or not live:
+                expected = self.probe(heap)
+                tail = heap.page_count - 1
+                tid = s.insert("t", {"k": step})
+                assert tid.page == expected
+                reused += tid.page < tail
+                live.add(step)
+            elif op < 0.9:
+                k = rng.choice(sorted(live))
+                s.delete("t", Eq("k", k))
+                live.discard(k)
+            else:
+                db.vacuum()
+        assert reused, "vacuous run: no insert reused a vacuumed page"
+        db.vacuum()
+        assert sorted(t.data["k"] for t in heap.scan()) == sorted(live)
 
 
 # ----------------------------------------------------------------------
-# SSI read fast paths
+# SSI read early exit
 # ----------------------------------------------------------------------
 def siread_table(db):
     """Comparable view of the SIREAD lock table: (target, holder xid)."""
@@ -336,15 +371,17 @@ def siread_table(db):
     return out
 
 
-def write_skew(fast):
+def write_skew(vacuum: bool, traced: bool):
     """The doctors write-skew, driven deterministically; returns
-    (outcomes, abort causes, SIREAD table before commits)."""
-    db = Database(config(fast))
+    (outcomes, abort causes, SIREAD table before commits, on-call
+    doctors left)."""
+    db = Database(traced_config() if traced else EngineConfig())
     db.create_table("doctors", ["name", "oncall"])
     s = db.session()
     s.insert("doctors", {"name": "alice", "oncall": True})
     s.insert("doctors", {"name": "bob", "oncall": True})
-    db.vacuum()  # all-visible pages: the fast paths actually engage
+    if vacuum:
+        db.vacuum()  # all-visible pages: the scan skips MVCC checks
     s1, s2 = db.session(), db.session()
     s1.begin(SER)
     s2.begin(SER)
@@ -367,15 +404,21 @@ def write_skew(fast):
 
 class TestSSIFastPath:
     def test_write_skew_identical_with_fast_paths(self):
-        fast = write_skew(True)
-        slow = write_skew(False)
-        assert fast == slow
-        outcomes, _, _, final = fast
-        assert sorted(outcomes) == ["abort", "commit"]
-        assert final >= 1  # the invariant held
+        """The all-visible shortcut and tracing change neither the
+        verdict, the abort cause, nor the SIREAD footprint."""
+        runs = [write_skew(vacuum, traced)
+                for vacuum in (False, True) for traced in (False, True)]
+        assert all(run == runs[0] for run in runs[1:])
+        outcomes, causes, locks, final = runs[0]
+        assert outcomes == ["commit", "abort"]
+        assert causes == [None, AbortCause.DOOMED_AT_COMMIT]
+        # Each reader holds exactly its relation lock: the scans took
+        # no tuple or page locks under it.
+        assert locks == {(("r", 1), 5), (("r", 1), 6)}
+        assert final == 1  # the invariant held
 
     def test_fast_path_fires_under_covering_relation_lock(self):
-        db = Database(config(True))
+        db = Database(EngineConfig())
         db.create_table("t", ["k"])
         s = db.session()
         for k in range(8):
@@ -384,63 +427,43 @@ class TestSSIFastPath:
         reader = db.session()
         reader.begin(SER)
         reader.select("t", Eq("k", -1))  # relation SIREAD lock
-        # The vismap seq-scan shortcut bypasses on_read_tuple wholesale,
-        # so exercise the covered-read path via repeated scans with the
-        # vismap bit cleared by a write.
+        # Clear the page's all-visible bit with a write, so the second
+        # scan checks visibility per tuple under the covering lock.
         db.session().insert("t", {"k": 99})
         counter = db.obs.metrics.counter("perf.siread_fastpath_hits")
-        before = counter.value
+        lockmgr = db.ssi.lockmgr
+        before, work_before = counter.value, lockmgr.work_units
         reader.select("t", Eq("k", -1))
-        assert counter.value > before
+        # The 8 old tuples are covered; k=99 is invisible (concurrent
+        # creator) and goes through on_read_tuple for its rw-conflict.
+        assert counter.value - before == 8
+        # Each skipped acquisition is still charged its work unit, on
+        # top of the one the relation-lock re-acquisition costs.
+        assert lockmgr.work_units - work_before == 8 + 1
         reader.commit()
 
-
-# ----------------------------------------------------------------------
-# toggles off == seed behaviour
-# ----------------------------------------------------------------------
-class TestTogglesOff:
-    def test_all_off_matches_defaults_on_scripted_run(self):
-        def run(fast):
-            db = Database(config(fast))
-            db.create_table("acct", ["owner", "bal"], key="owner")
-            s = db.session()
-            s.insert("acct", {"owner": "x", "bal": 60})
-            s.insert("acct", {"owner": "y", "bal": 60})
-            db.vacuum()
-            s1, s2 = db.session(), db.session()
-            s1.begin(SER)
-            s2.begin(SER)
-            total1 = sum(r["bal"] for r in s1.select("acct"))
-            total2 = sum(r["bal"] for r in s2.select("acct"))
-            s1.update("acct", Eq("owner", "x"), {"bal": total1 - 100})
-            s2.update("acct", Eq("owner", "y"), {"bal": total2 - 100})
-            outcome = []
-            for sess in (s1, s2):
-                try:
-                    sess.commit()
-                    outcome.append("commit")
-                except SerializationFailure as exc:
-                    outcome.append(exc.cause)
-            rows = sorted((r["owner"], r["bal"])
-                          for r in db.session().select("acct"))
-            return outcome, rows
-
-        assert run(False) == run(True)
-
-    def test_all_off_takes_no_fast_paths(self):
-        db = Database(config(False))
-        db.create_table("t", ["k"])
+    def test_scripted_write_skew_outcome(self):
+        db = Database(EngineConfig())
+        db.create_table("acct", ["owner", "bal"], key="owner")
         s = db.session()
-        for k in range(10):
-            s.insert("t", {"k": k})
+        s.insert("acct", {"owner": "x", "bal": 60})
+        s.insert("acct", {"owner": "y", "bal": 60})
         db.vacuum()
-        db.session().select("t")
-        db.session().select("t")
-        m = db.obs.metrics
-        assert m.counter("perf.hint_hits").value == 0
-        assert m.counter("perf.vismap_skips").value == 0
-        assert m.counter("perf.siread_fastpath_hits").value == 0
-        assert len(db.relation("t").heap.vismap) == 0
-        for tup in all_tuples(db):
-            assert not (tup.xmin_committed or tup.xmin_aborted
-                        or tup.xmax_committed or tup.xmax_aborted)
+        s1, s2 = db.session(), db.session()
+        s1.begin(SER)
+        s2.begin(SER)
+        total1 = sum(r["bal"] for r in s1.select("acct"))
+        total2 = sum(r["bal"] for r in s2.select("acct"))
+        s1.update("acct", Eq("owner", "x"), {"bal": total1 - 100})
+        s2.update("acct", Eq("owner", "y"), {"bal": total2 - 100})
+        outcome = []
+        for sess in (s1, s2):
+            try:
+                sess.commit()
+                outcome.append("commit")
+            except SerializationFailure as exc:
+                outcome.append(exc.cause)
+        rows = sorted((r["owner"], r["bal"])
+                      for r in db.session().select("acct"))
+        assert outcome == ["commit", AbortCause.DOOMED_AT_COMMIT]
+        assert rows == [("x", 20), ("y", 60)]

@@ -5,7 +5,7 @@ and EXPLAIN output stability."""
 
 import pytest
 
-from repro.config import EngineConfig, PerfConfig, SSIConfig
+from repro.config import EngineConfig, SSIConfig
 from repro.engine import Database
 from repro.engine.planner import PlanNode, explain_scan
 from repro.engine.predicate import (AlwaysTrue, And, Between, Eq, Gt, Lt,
@@ -16,8 +16,8 @@ from repro.storage.stats import (DEFAULT_EQ_SEL, DEFAULT_INEQ_SEL,
                                  ColumnStats, RelationStats, StatsCatalog)
 
 
-def make_db(**perf) -> Database:
-    return Database(EngineConfig(perf=PerfConfig(**perf)))
+def make_db() -> Database:
+    return Database(EngineConfig())
 
 
 def load(db: Database, rows: int = 200) -> None:
@@ -172,15 +172,6 @@ class TestCostPlanner:
         choice = db.planner.choose(db.relation("t"), Between("grp", 0, 1))
         assert choice.source == "cost" and choice.is_seq_scan
 
-    def test_toggle_off_keeps_rule_plans_even_with_stats(self):
-        db = make_db(cost_planner=False)
-        load(db)
-        db.analyze()
-        pred = And(Eq("grp", 1), Eq("k", 7))
-        choice = db.planner.choose(db.relation("t"), pred)
-        assert choice.source == "rule"
-        assert choice.column == "grp"  # first equality conjunct wins
-
     def test_plan_is_deterministic(self):
         def plan_once():
             db = make_db()
@@ -259,14 +250,20 @@ class TestPlanCache:
         assert misses.value == before + 1
         assert index is not None  # the new access path is picked up
 
-    def test_cache_disabled_never_counts(self):
-        db = make_db(plan_cache=False)
+    def test_cached_plan_keeps_the_chosen_conjunct(self):
+        """Two conjuncts on one column: the rule choice is the later
+        equality, and a cache hit must serve that restriction, not the
+        first range on the same column."""
+        db = make_db()
         load(db)
+        hits = db.obs.metrics.counter("perf.plan_cache_hits")
         rel = db.relation("t")
-        for _ in range(3):
-            db.planner.plan_scan(rel, Eq("k", 1))
-        assert db.obs.metrics.counter("perf.plan_cache_hits").value == 0
-        assert db.obs.metrics.counter("perf.plan_cache_misses").value == 0
+        db.planner.plan_scan(rel, And(Gt("k", 1), Eq("k", 5)))
+        before = hits.value
+        index, rng = db.planner.plan_scan(rel, And(Gt("k", 1), Eq("k", 9)))
+        assert hits.value == before + 1
+        assert index.name == "t_pkey"
+        assert rng.is_equality and rng.lo == 9
 
     def test_cached_and_fresh_plans_agree(self):
         db = make_db()

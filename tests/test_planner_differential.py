@@ -1,11 +1,12 @@
 """Differential planner suite: plans may change, answers may not.
 
-Every corpus replay (the four canonical anomalies) is re-executed with
-the cost planner + caches fully OFF and fully ON (with ANALYZE run on
-the initial state so the cost path is actually exercised). The
-contract: scan choice is invisible to semantics -- identical committed
-row sets, identical committed-transaction sets, and identical
-serializability verdicts, under both snapshot isolation and SSI.
+Every corpus replay (the canonical anomalies) is executed twice: once
+with no statistics, so every scan takes the rule-based choice, and once
+with ANALYZE run on the initial state, so the cost-based path prices
+every scan. The contract: scan choice is invisible to semantics --
+identical committed row sets, identical committed-transaction sets,
+and identical serializability verdicts, under both snapshot isolation
+and SSI.
 
 The suite also runs a skewed-AND program built here (corpus programs
 use single-conjunct predicates, so they exercise the cache + fallback
@@ -17,7 +18,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import PerfConfig
 from repro.engine.isolation import IsolationLevel
 from repro.engine.predicate import And, Eq
 from repro.explore import load_replay, run_replay
@@ -25,13 +25,9 @@ from repro.explore import load_replay, run_replay
 CORPUS_DIR = Path(__file__).resolve().parent / "explore_corpus"
 CORPUS_FILES = sorted(CORPUS_DIR.glob("*.json"))
 
-#: Everything this PR added, disabled: byte-identical seed behaviour.
-PLANNER_OFF = PerfConfig(cost_planner=False, plan_cache=False,
-                         parse_cache=False)
-
-
 def run_pair(replay, isolation=None):
-    off = run_replay(replay, isolation, perf=PLANNER_OFF)
+    """(rule-planned run, cost-planned run)."""
+    off = run_replay(replay, isolation)
     on = run_replay(replay, isolation, analyze=True)
     return off, on
 
@@ -49,13 +45,13 @@ def test_identical_outcome_under_snapshot_isolation(path):
     assert off.record.committed_txns == on.record.committed_txns
     assert off.record.check.serializable == on.record.check.serializable
     assert not on.record.check.serializable, \
-        f"{path.stem}: pinned anomaly disappeared with the planner on"
+        f"{path.stem}: pinned anomaly disappeared with cost planning"
 
 
 @pytest.mark.parametrize("path", CORPUS_FILES, ids=lambda p: p.stem)
 def test_identical_ssi_verdict_under_serializable(path):
-    """SSI must break the dangerous structure with the planner on or
-    off: serializable history, at least one serialization failure."""
+    """SSI must break the dangerous structure under either plan:
+    serializable history, at least one serialization failure."""
     replay = load_replay(str(path))
     off, on = run_pair(replay, IsolationLevel.SERIALIZABLE)
     assert off.record.complete and on.record.complete
@@ -76,13 +72,13 @@ def test_planner_on_is_deterministic(path):
 def test_skewed_and_predicate_same_rows_either_plan():
     """Direct engine-level differential on the plan the cost planner
     actually changes: And(low-cardinality, unique-key). The rule plan
-    scans through the grp index, the cost plan through the primary
-    key; both must return the same rows."""
+    (no statistics) scans through the grp index, the cost plan through
+    the primary key; both must return the same rows."""
     from repro.config import EngineConfig
     from repro.engine import Database
 
-    def build(perf):
-        db = Database(EngineConfig(perf=perf))
+    def build(analyze):
+        db = Database(EngineConfig())
         db.create_table("t", ["k", "grp", "v"], key="k")
         db.create_index("t", "grp")
         s = db.session()
@@ -90,12 +86,13 @@ def test_skewed_and_predicate_same_rows_either_plan():
         for i in range(120):
             s.insert("t", {"k": i, "grp": i % 3, "v": i * 7})
         s.commit()
-        db.analyze()
+        if analyze:
+            db.analyze()
         return db
 
     answers = []
-    for perf in (PLANNER_OFF, PerfConfig()):
-        db = build(perf)
+    for analyze in (False, True):
+        db = build(analyze)
         s = db.session()
         s.begin()
         rows = []
@@ -106,8 +103,10 @@ def test_skewed_and_predicate_same_rows_either_plan():
         s.commit()
         answers.append(rows)
     assert answers[0] == answers[1]
-    # Sanity: the enabled run really did choose differently.
-    db_on = build(PerfConfig())
-    choice = db_on.planner.choose(db_on.relation("t"),
-                                  And(Eq("grp", 1), Eq("k", 1)))
-    assert choice.column == "k" and choice.source == "cost"
+    # Sanity: the two runs really did choose differently.
+    pred = And(Eq("grp", 1), Eq("k", 1))
+    for analyze, column, source in ((False, "grp", "rule"),
+                                    (True, "k", "cost")):
+        db = build(analyze)
+        choice = db.planner.choose(db.relation("t"), pred)
+        assert (choice.column, choice.source) == (column, source)
