@@ -541,9 +541,13 @@ class Database:
     # ------------------------------------------------------------------
     def record_read(self, txn: Transaction, rel, pred, tuples) -> None:
         if self.recorder is not None:
+            # The snapshot the read saw through: a phantom the reader
+            # missed is an rw-antidependency only relative to it. S2PL
+            # reads the latest committed state under locks.
+            snapshot = (txn.snapshot if txn.isolation.snapshot_based
+                        else self.take_snapshot())
             self.recorder.on_read(txn.xid, rel.oid, pred,
-                                  [t.tid for t in tuples],
-                                  self.take_snapshot())
+                                  [t.tid for t in tuples], snapshot)
 
     def record_write(self, txn: Transaction, rel, kind: str, old, new) -> None:
         self.statscat.note_write(rel.oid, kind)

@@ -92,3 +92,18 @@ def test_s2pl_prevents_the_anomaly(path):
     assert result.record.check.serializable, \
         f"{path.stem}: S2PL committed the anomaly!"
     assert result.ok, result.summary()
+
+
+def test_phantom_read_is_judged_against_the_readers_snapshot():
+    """Client 1 takes its snapshot, client 0 inserts and commits, then
+    client 1 counts the department: its snapshot misses the new row, so
+    it admits an expense too. That history is not serializable, and the
+    Adya graph must say so -- the recorded read carries the reader's
+    own snapshot, not one taken after client 0 committed."""
+    replay = load_replay(str(CORPUS_DIR / "write_skew_via_aggregate.json"))
+    replay.schedule = [0, 0, 0, 1, 0, 0, 0, 1, 1, 1, 1, 1]
+    result = run_replay(replay)
+    assert result.record.complete and not result.diverged
+    (_name, rows), = result.record.state
+    assert len(rows) == 3  # both clients admitted an expense
+    assert not result.record.check.serializable
