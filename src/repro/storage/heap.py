@@ -17,8 +17,9 @@ class Heap:
 
     Free space is tracked by a free-space map (FSM): a min-heap of page
     numbers that have had a slot vacuumed, popped lazily as pages
-    refill, so ``insert`` finds the lowest-numbered page with room in
-    O(1) instead of rescanning the heap.
+    refill. ``insert`` takes the tail page if it has room, else the
+    lowest-numbered page with a vacuumed slot, without rescanning the
+    heap.
     """
 
     def __init__(self, page_size: int) -> None:
