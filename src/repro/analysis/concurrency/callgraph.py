@@ -39,7 +39,7 @@ from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Set,
 from repro.analysis.lint.core import FileContext
 
 #: Canonical rank spellings (mirrors repro.engine.latches constants).
-RANK_BY_NAME = {"ENGINE": 10, "CONNECTIONS": 20, "WIRE": 30, "METRICS": 40}
+RANK_BY_NAME = {"ENGINE": 10, "CONNECTIONS": 20, "METRICS": 40}
 NAME_BY_RANK = {v: k for k, v in RANK_BY_NAME.items()}
 
 #: Class names recognised as latches even when their definition is not

@@ -109,7 +109,7 @@ def check_latch_order(graph: CallGraph,
                              f"{_fmt(eff)} (max rank {worst})",
                              "latches must be acquired in strictly "
                              "increasing rank order "
-                             "(ENGINE<CONNECTIONS<WIRE<METRICS); "
+                             "(ENGINE<CONNECTIONS<METRICS); "
                              "restructure so the lower-rank latch is "
                              "taken first, or drop the outer latch "
                              "before calling in", state)

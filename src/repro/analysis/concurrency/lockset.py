@@ -155,7 +155,7 @@ def check_locksets(graph: CallGraph, reach: Reachability,
                           or (node.path, node.lineno))[1],
                     message=f"{owner}.{attr} declares guarded-by"
                             f"({guard}), which is not a known latch "
-                            "rank (ENGINE/CONNECTIONS/WIRE/METRICS)",
+                            "rank (ENGINE/CONNECTIONS/METRICS)",
                     hint="fix the annotation; guard names are latch "
                          "rank names"))
                 continue

@@ -332,7 +332,7 @@ class LockEncapsulationRule(Rule):
     #: Receiver spellings that denote a lock manager or latch in this
     #: codebase (repro.server names its latches by guarded resource).
     RECEIVERS = {"lockmgr", "lock_manager", "lockmanager",
-                 "latch", "latches", "engine_latch", "wire_latch",
+                 "latch", "latches", "engine_latch",
                  "conn_latch", "metrics_latch"}
     #: Packages that own lock-manager / latch internals.
     OWNER_PREFIXES = ("repro.locks", "repro.ssi", "repro.engine.latches")

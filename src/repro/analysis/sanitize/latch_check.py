@@ -49,8 +49,7 @@ from repro.analysis.sanitize.violations import SanitizerViolation
 from repro.engine.latches import holds_rank
 
 #: rank-name -> numeric rank (kept in sync with repro.engine.latches).
-_RANK_BY_NAME = {"ENGINE": 10, "CONNECTIONS": 20, "WIRE": 30,
-                 "METRICS": 40}
+_RANK_BY_NAME = {"ENGINE": 10, "CONNECTIONS": 20, "METRICS": 40}
 
 _tls = threading.local()
 

@@ -392,7 +392,7 @@ class Executor:
             yield from s2pl.lock_tuple_write(db.lockmgr, txn.xid, rel.oid,
                                              tup.tid)
         yield from self._insert_index_entries(txn, rel, tup)
-        txn.wal_changes.append(("insert", rel.name, None, dict(row)))
+        txn.wal_changes.append(("insert", rel.name, None, tup.data))
         db.record_write(txn, rel, "insert", None, tup)
         return tup.tid
 
@@ -509,8 +509,8 @@ class Executor:
                                                  rel.oid, new_tup.tid)
             yield from self._insert_index_entries(txn, rel, new_tup,
                                                   old_data=target.data)
-            txn.wal_changes.append(("update", rel.name, dict(target.data),
-                                    dict(new_data)))
+            txn.wal_changes.append(("update", rel.name, target.data,
+                                    new_tup.data))
             db.record_write(txn, rel, "update", target, new_tup)
             count += 1
         return count
@@ -530,8 +530,7 @@ class Executor:
             db.stats.tuples_written += 1
             db.ssi.on_write_tuple(txn.sxact, rel.oid, target.tid,
                                   in_subxact=txn.in_subxact)
-            txn.wal_changes.append(("delete", rel.name, dict(target.data),
-                                    None))
+            txn.wal_changes.append(("delete", rel.name, target.data, None))
             db.record_write(txn, rel, "delete", target, None)
             count += 1
         return count

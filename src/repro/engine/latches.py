@@ -24,7 +24,7 @@ acquisition raises :class:`LatchOrderError` immediately, on every
 build, making lock-order deadlocks between latches structurally
 impossible rather than merely unobserved. The rank order is::
 
-    ENGINE (10)  <  CONNECTIONS (20)  <  WIRE (30)  <  METRICS (40)
+    ENGINE (10)  <  CONNECTIONS (20)  <  METRICS (40)
 
 * ``ENGINE`` -- the per-database engine latch. Coarse by design: one
   statement step mutates many structures (heap + FSM + vismap + SSI +
@@ -36,9 +36,6 @@ impossible rather than merely unobserved. The rank order is::
 * ``CONNECTIONS`` -- the server's connection registry (admission
   control reads/writes it from the accept loop while workers
   unregister).
-* ``WIRE`` -- one per connection, serializing response writes to the
-  socket (the reader thread writes backpressure rejections while the
-  worker writes results).
 * ``METRICS`` -- server-side metric points touched outside the engine
   latch (latency histograms, retry counters).
 
@@ -59,7 +56,6 @@ from typing import Callable, List, Optional
 #: Canonical ranks, lowest (outermost) first.
 RANK_ENGINE = 10
 RANK_CONNECTIONS = 20
-RANK_WIRE = 30
 RANK_METRICS = 40
 
 _local = threading.local()

@@ -175,14 +175,16 @@ class DeadlockDetected(RetryableError):
 
 
 class TooManyConnections(RetryableError):
-    """Admission control rejected the connection or request (SQLSTATE
-    53300, too_many_connections).
+    """Admission control rejected the connection (SQLSTATE 53300,
+    too_many_connections).
 
     Raised by the server front end when the connection count is at
-    ``ServerConfig.max_connections`` or a connection's bounded request
-    queue is full (backpressure). Retryable: the client library backs
-    off exponentially and reconnects/resends, which is how the "heavy
-    traffic" story degrades gracefully instead of collapsing.
+    ``ServerConfig.max_connections``, and by ``ClientPool`` when no
+    pooled connection frees up in time. A connection's requests are
+    never rejected: the server reads the next frame only after it has
+    answered the last one. Retryable: the client library backs off
+    exponentially and reconnects, which is how the "heavy traffic"
+    story degrades gracefully instead of collapsing.
     """
 
     sqlstate = "53300"

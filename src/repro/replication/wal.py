@@ -6,10 +6,13 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 #: (kind, relation name, old row, new row); kind in insert/update/delete.
+#: The rows are the heap versions' own payload dicts, not copies: a
+#: payload is never mutated after its version is stored, and readers of
+#: the log must not mutate it either.
 Change = Tuple[str, str, Optional[Dict[str, Any]], Optional[Dict[str, Any]]]
 
 
-@dataclass
+@dataclass(slots=True)
 class CommitRecord:
     """One committed transaction's changes, in commit order.
 

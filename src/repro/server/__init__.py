@@ -3,7 +3,7 @@
 A line-delimited JSON wire protocol over TCP, a thread-safe engine
 front (the engine latch + condition-variable parking of
 :mod:`repro.engine.latches`), two selectable transports (threaded and
-asyncio), admission control with retryable 53300 backpressure, and a
+asyncio), admission control with retryable 53300 rejections, and a
 client library whose ``run_transaction`` retries serialization
 failures with jittered exponential backoff -- the middleware layer the
 paper assumes around every SERIALIZABLE application (section 3.3).

@@ -33,7 +33,6 @@ def main(argv=None) -> int:
     parser.add_argument("--mode", choices=("threaded", "asyncio"),
                         default="threaded")
     parser.add_argument("--max-connections", type=int, default=64)
-    parser.add_argument("--queue-depth", type=int, default=32)
     parser.add_argument("--statement-timeout", type=float, default=None,
                         help="seconds before a parked statement is "
                         "cancelled (55P03/57014); default: wait forever")
@@ -52,7 +51,6 @@ def main(argv=None) -> int:
     config = ServerConfig(
         host=args.host, port=args.port, mode=args.mode,
         max_connections=args.max_connections,
-        queue_depth=args.queue_depth,
         statement_timeout=args.statement_timeout,
         auth_token=args.auth_token,
         default_isolation=args.isolation)

@@ -1,4 +1,4 @@
-"""Per-connection lifecycle: state machine, dispatch, backpressure.
+"""Per-connection lifecycle: state machine and dispatch.
 
 :class:`ConnectionCore` is transport-independent -- both the threaded
 and the asyncio front ends feed it decoded request frames and write
@@ -13,18 +13,15 @@ not here; the core only distinguishes "may this connection run SQL yet"
 from "is it gone". Closing in any state rolls back an open transaction
 (PostgreSQL's behaviour when a backend loses its client).
 
-:class:`ThreadedConnection` is the threaded transport: one reader
-thread (socket -> bounded queue) and one worker thread (queue ->
-engine -> socket). The queue bound is the per-connection backpressure
-satellite: a client that pipelines faster than its statements execute
-gets ``53300 TooManyConnections`` rejections (retryable) instead of
-growing server memory without limit.
+:class:`ThreadedConnection` is the threaded transport: one thread per
+connection reads a frame, executes it and writes the reply before it
+reads the next. Pipelined requests wait in the kernel socket buffer,
+so per-connection server memory is bounded by construction.
 """
 
 from __future__ import annotations
 
 import enum
-import queue
 import socket
 import threading
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
@@ -32,9 +29,7 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 if TYPE_CHECKING:  # import cycle: server.py imports this module
     from repro.server.server import ReproServer
 
-from repro.engine.latches import Latch, RANK_WIRE
-from repro.errors import (AuthenticationError, ProtocolError, ReproError,
-                          TooManyConnections)
+from repro.errors import AuthenticationError, ProtocolError, ReproError
 from repro.server import protocol
 from repro.server.engine import ISOLATION_BY_NAME, EngineSession
 
@@ -52,9 +47,10 @@ class ConnectionCore:
         self.server = server
         self.conn_id = conn_id
         # One request is in flight per connection at a time -- the
-        # worker thread (threaded transport) or the single _consume
-        # task (asyncio transport, executor handoff gives the
-        # happens-before edge) is the only accessor after construction.
+        # connection thread (threaded transport) or the executor call
+        # the connection's handler awaits (asyncio transport; the
+        # executor handoff gives the happens-before edge) is the only
+        # accessor after construction.
         self.state = ConnState.HANDSHAKE  # repro: confined(one in-flight request per connection)
         self.es: Optional[EngineSession] = None  # repro: confined(one in-flight request per connection)
         self.statements = 0  # repro: confined(one in-flight request per connection)
@@ -144,13 +140,12 @@ class ConnectionCore:
             self.server.engine.close_session(es)
 
 
-#: Reader-thread EOF marker for the request queue.
-_SENTINEL = object()
-
-
 class ThreadedConnection:
-    """Threaded transport: reader thread + worker thread + bounded
-    request queue around one ConnectionCore."""
+    """Threaded transport: one OS thread per connection that reads a
+    frame, dispatches it to the ConnectionCore and writes the response
+    before it reads the next frame (PostgreSQL's one backend per
+    connection). A client that pipelines waits in the kernel socket
+    buffer, so the server holds at most one frame per connection."""
 
     def __init__(self, server: "ReproServer", sock: socket.socket,
                  conn_id: int) -> None:
@@ -158,76 +153,36 @@ class ThreadedConnection:
         self.server = server
         self.sock = sock
         self.rfile = sock.makefile("rb")
-        self.requests: "queue.Queue[Any]" = queue.Queue(
-            maxsize=server.config.queue_depth)
-        #: Serializes socket writes (reader-thread backpressure
-        #: rejections interleave with worker-thread responses).
-        self.wire_latch = Latch(f"wire:{conn_id}", RANK_WIRE)
-        self._reader = threading.Thread(
-            target=self._read_loop, name=f"repro-conn-{conn_id}-reader",
-            daemon=True)
-        self._worker = threading.Thread(
-            target=self._work_loop, name=f"repro-conn-{conn_id}-worker",
-            daemon=True)
-        self._torn_down = threading.Event()
+        self._thread = threading.Thread(
+            target=self._serve, name=f"repro-conn-{conn_id}", daemon=True)
 
     @property
     def conn_id(self) -> int:
         return self.core.conn_id
 
     def start(self) -> None:
-        self._reader.start()
-        self._worker.start()
+        self._thread.start()
 
-    # ------------------------------------------------------------------
-    # wire
-    # ------------------------------------------------------------------
     def send(self, payload: Dict[str, Any]) -> None:
         try:
-            with self.wire_latch:
-                self.sock.sendall(protocol.encode_frame(payload))
+            self.sock.sendall(protocol.encode_frame(payload))
         except OSError:
-            pass  # client went away; the reader loop will see EOF
+            pass  # client went away; the next read sees EOF
 
-    # ------------------------------------------------------------------
-    # reader thread: socket -> bounded queue
-    # ------------------------------------------------------------------
-    def _read_loop(self) -> None:
-        while True:
-            try:
-                line = self.rfile.readline(protocol.MAX_FRAME_BYTES + 2)
-            except (OSError, ValueError):
-                break
-            if not line:
-                break  # EOF
-            try:
-                payload = protocol.decode_frame(line.rstrip(b"\r\n"))
-            except ProtocolError as exc:
-                self.send(protocol.error_response(None, exc))
-                break  # framing is broken; terminate like PostgreSQL
-            try:
-                self.requests.put_nowait(payload)
-            except queue.Full:
-                self.server.count("server.backpressure_rejections")
-                self.send(protocol.error_response(
-                    payload.get("id"), TooManyConnections(
-                        "request queue full "
-                        f"(depth {self.server.config.queue_depth}); "
-                        "retry with backoff")))
-                continue
-            if payload.get("op") == "close":
-                break  # let the worker drain; stop reading
-        self.requests.put(_SENTINEL)
-
-    # ------------------------------------------------------------------
-    # worker thread: queue -> engine -> socket
-    # ------------------------------------------------------------------
-    def _work_loop(self) -> None:
+    def _serve(self) -> None:
         try:
             while True:
-                payload = self.requests.get()
-                if payload is _SENTINEL:
+                try:
+                    line = self.rfile.readline(protocol.MAX_FRAME_BYTES + 2)
+                except (OSError, ValueError):
                     break
+                if not line:
+                    break  # EOF
+                try:
+                    payload = protocol.decode_frame(line.rstrip(b"\r\n"))
+                except ProtocolError as exc:
+                    self.send(protocol.error_response(None, exc))
+                    break  # framing is broken; terminate like PostgreSQL
                 response, close = self.core.handle_request(payload)
                 if response is not None:
                     self.send(response)
@@ -237,15 +192,6 @@ class ThreadedConnection:
             self._teardown()
 
     def _teardown(self) -> None:
-        if self._torn_down.is_set():
-            return
-        self._torn_down.set()
-        # Unblock a reader parked on a full queue before closing.
-        while True:
-            try:
-                self.requests.get_nowait()
-            except queue.Empty:
-                break
         try:
             self.core.close()
         finally:
@@ -267,15 +213,15 @@ class ThreadedConnection:
     # server-driven shutdown
     # ------------------------------------------------------------------
     def kick(self) -> None:
-        """Force the connection down (server.stop): closing the socket
-        EOFs the reader, which sentinels the worker, which tears down."""
+        """Force the connection down (server.stop): shutting the socket
+        down EOFs the next read, which tears the connection down."""
         try:
             self.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
 
     def join(self, timeout: float) -> bool:
-        """True when both threads exited within ``timeout`` seconds."""
-        self._reader.join(timeout)
-        self._worker.join(timeout)
-        return not (self._reader.is_alive() or self._worker.is_alive())
+        """True when the connection thread exited within ``timeout``
+        seconds."""
+        self._thread.join(timeout)
+        return not self._thread.is_alive()

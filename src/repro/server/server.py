@@ -4,19 +4,22 @@
 of live connections, and runs one of two transports over the same
 :class:`~repro.server.connection.ConnectionCore` dispatch:
 
-* ``threaded`` -- a blocking accept loop; each connection gets a
-  reader thread and a worker thread (two OS threads per connection,
-  the process-per-connection analog of PostgreSQL's backend model);
+* ``threaded`` -- a blocking accept loop; each connection gets one OS
+  thread that reads a frame, executes it and replies before reading
+  the next (the analog of PostgreSQL's backend per connection);
 * ``asyncio`` -- a single event-loop thread multiplexes all sockets;
   statement execution is pushed to a thread pool so a parked statement
-  never blocks the loop.
+  never blocks the loop, and each connection awaits its reply before
+  it reads its next frame.
 
-Admission control is the front door of the backpressure story: past
-``max_connections`` the server writes one ``53300`` rejection frame and
-closes, which the client library treats as retryable. ``stop()`` is
-leak-checked -- it wakes every parked statement (AdminShutdown), kicks
-every socket, joins every thread, and reports anything still alive so
-the CI server job can fail on leaked connections or threads.
+Neither transport queues requests: a client that pipelines waits in
+the kernel socket buffer. Admission control bounds the connections:
+past ``max_connections`` the server writes one ``53300`` rejection
+frame and closes, which the client library treats as retryable.
+``stop()`` is leak-checked -- it wakes every parked statement
+(AdminShutdown), kicks every socket, joins every thread, and reports
+anything still alive so the CI server job can fail on leaked
+connections or threads.
 """
 
 from __future__ import annotations
@@ -33,8 +36,7 @@ from repro.engine.database import Database
 from repro.engine.latches import Latch, RANK_CONNECTIONS, RANK_METRICS
 from repro.errors import ProtocolError, TooManyConnections
 from repro.server import protocol
-from repro.server.connection import (ConnectionCore, ThreadedConnection,
-                                     _SENTINEL)
+from repro.server.connection import ConnectionCore, ThreadedConnection
 from repro.server.engine import EngineSession, ThreadSafeEngine
 
 
@@ -48,8 +50,6 @@ class ServerConfig:
     mode: str = "threaded"
     #: Admission-control ceiling on concurrent connections.
     max_connections: int = 64
-    #: Bound on each connection's pipelined-request queue.
-    queue_depth: int = 32
     #: Seconds a statement may spend parked before 55P03/57014;
     #: None waits forever.
     statement_timeout: Optional[float] = None
@@ -92,7 +92,6 @@ class ReproServer:
             name: metrics.counter(name) for name in (
                 "server.connections_accepted",
                 "server.connections_rejected",
-                "server.backpressure_rejections",
                 "server.auth_failures",
                 "server.requests",
                 "server.fatal_errors",
@@ -121,8 +120,8 @@ class ReproServer:
     def stop(self, timeout: float = 10.0) -> Dict[str, List[str]]:
         """Graceful stop; returns the leak report (empty lists = clean).
 
-        Order matters: wake parked statements first (so worker threads
-        can drain), stop accepting, kick live sockets, join.
+        Order matters: wake parked statements first (so connection
+        threads can drain), stop accepting, kick live sockets, join.
         """
         # Check-and-set under the connection latch: two racing stop()
         # calls must not both run the teardown sequence (double close
@@ -396,10 +395,7 @@ class _AsyncioFrontend:
         server.register(core)
         server.count("server.connections_accepted")
         self._writers.add(writer)
-        requests: "asyncio.Queue[Any]" = asyncio.Queue(
-            maxsize=server.config.queue_depth)
-        consumer = asyncio.ensure_future(
-            self._consume(core, requests, writer))
+        assert self.loop is not None and self.executor is not None
         try:
             while True:
                 try:
@@ -414,24 +410,13 @@ class _AsyncioFrontend:
                     await self._send(
                         writer, protocol.error_response(None, exc))
                     break
-                try:
-                    requests.put_nowait(payload)
-                except asyncio.QueueFull:
-                    server.count("server.backpressure_rejections")
-                    await self._send(writer, protocol.error_response(
-                        payload.get("id"), TooManyConnections(
-                            "request queue full "
-                            f"(depth {server.config.queue_depth}); "
-                            "retry with backoff")))
-                    continue
-                if payload.get("op") == "close":
+                response, close = await self.loop.run_in_executor(
+                    self.executor, core.handle_request, payload)
+                if response is not None:
+                    await self._send(writer, response)
+                if close:
                     break
         finally:
-            while not requests.empty():
-                requests.get_nowait()
-            requests.put_nowait(_SENTINEL)
-            await consumer
-            assert self.loop is not None and self.executor is not None
             await self.loop.run_in_executor(self.executor, core.close)
             server.unregister(core)
             self._writers.discard(writer)
@@ -439,18 +424,3 @@ class _AsyncioFrontend:
                 writer.close()
             except (OSError, ConnectionError):
                 pass
-
-    async def _consume(self, core: ConnectionCore,
-                       requests: "asyncio.Queue[Any]",
-                       writer: asyncio.StreamWriter) -> None:
-        assert self.loop is not None and self.executor is not None
-        while True:
-            payload = await requests.get()
-            if payload is _SENTINEL:
-                return
-            response, close = await self.loop.run_in_executor(
-                self.executor, core.handle_request, payload)
-            if response is not None:
-                await self._send(writer, response)
-            if close:
-                return

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Any, Iterator, List, Optional
 
@@ -101,7 +102,9 @@ def tokenize(text: str) -> List[Token]:
             if upper in KEYWORDS:
                 tokens.append(Token("keyword", upper, i))
             else:
-                tokens.append(Token("ident", word, i))
+                # Interned, so rows stored from separately parsed
+                # statements share their column-name keys.
+                tokens.append(Token("ident", sys.intern(word), i))
             i = j
             continue
         for symbol in SYMBOLS:

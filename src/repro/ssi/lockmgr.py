@@ -61,6 +61,9 @@ class SIReadLockManager:
         self._config = config
         #: target -> set of holders.
         self._locks: Dict[Target, Set[SerializableXact]] = {}  # repro: guarded-by(ENGINE)
+        #: sum(len(holders) for holders in _locks.values()), kept by
+        #: _add/_remove (the only writers of _locks).
+        self._holder_entries = 0  # repro: guarded-by(ENGINE)
         #: per-holder reverse index.
         self._held: Dict[SerializableXact, Set[Target]] = {}  # repro: guarded-by(ENGINE)
         #: fine-grained targets per (holder, parent target), for
@@ -83,7 +86,7 @@ class SIReadLockManager:
     # -- size accounting --------------------------------------------------
     @property
     def lock_count(self) -> int:
-        return sum(len(h) for h in self._locks.values()) + len(self._summary)
+        return self._holder_entries + len(self._summary)
 
     def _check_capacity(self) -> None:
         count = self.lock_count
@@ -114,7 +117,10 @@ class SIReadLockManager:
 
     def _add(self, sx: SerializableXact, target: Target) -> None:
         self.work_units += 1
-        self._locks.setdefault(target, set()).add(sx)
+        holders = self._locks.setdefault(target, set())
+        if sx not in holders:
+            holders.add(sx)
+            self._holder_entries += 1
         self._held.setdefault(sx, set()).add(target)
         kind = target[0]
         if kind == "r" or kind == "p":
@@ -134,8 +140,9 @@ class SIReadLockManager:
     def _remove(self, sx: SerializableXact, target: Target) -> None:
         self.work_units += 1
         holders = self._locks.get(target)
-        if holders is not None:
-            holders.discard(sx)
+        if holders is not None and sx in holders:
+            holders.remove(sx)
+            self._holder_entries -= 1
             if not holders:
                 self._locks.pop(target, None)
         held = self._held.get(sx)

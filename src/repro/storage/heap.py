@@ -43,7 +43,7 @@ class Heap:
 
     def fetch(self, tid: TID) -> Optional[HeapTuple]:
         page = self.page(tid.page)
-        return page.get(tid.slot) if page else None
+        return page.get(tid.slot) if page is not None else None
 
     def insert(self, data: Dict[str, Any], xid: int, cid: int) -> HeapTuple:
         """Store a new tuple version; returns it with its TID set."""

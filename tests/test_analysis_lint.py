@@ -320,19 +320,19 @@ class TestLockRules:
 
     def test_latch_acquire_without_release_flagged(self, tmp_path):
         report = lint_snippet(tmp_path, """
-            def enter(wire_latch):
-                wire_latch.acquire()
+            def enter(conn_latch):
+                conn_latch.acquire()
             """, relpath="repro/server/hack.py")
         assert rule_ids(report) == ["LOCK002"]
 
     def test_latch_acquire_with_release_passes(self, tmp_path):
         report = lint_snippet(tmp_path, """
-            def enter(wire_latch):
-                wire_latch.acquire()
+            def enter(conn_latch):
+                conn_latch.acquire()
                 try:
                     pass
                 finally:
-                    wire_latch.release()
+                    conn_latch.release()
             """, relpath="repro/server/hack.py")
         assert report.ok
 

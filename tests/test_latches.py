@@ -8,16 +8,16 @@ import pytest
 
 from repro.engine.latches import (EngineLatch, Latch, LatchOrderError,
                                   RANK_CONNECTIONS, RANK_ENGINE,
-                                  RANK_METRICS, RANK_WIRE)
+                                  RANK_METRICS)
 
 
 class TestOrdering:
     def test_ranks_are_strictly_increasing(self):
-        assert RANK_ENGINE < RANK_CONNECTIONS < RANK_WIRE < RANK_METRICS
+        assert RANK_ENGINE < RANK_CONNECTIONS < RANK_METRICS
 
     def test_increasing_rank_acquisition_allowed(self):
         low = Latch("low", RANK_ENGINE)
-        high = Latch("high", RANK_WIRE)
+        high = Latch("high", RANK_CONNECTIONS)
         with low:
             with high:
                 assert low.held_by_me() and high.held_by_me()
@@ -25,14 +25,14 @@ class TestOrdering:
 
     def test_decreasing_rank_acquisition_raises(self):
         low = Latch("low", RANK_ENGINE)
-        high = Latch("high", RANK_WIRE)
+        high = Latch("high", RANK_CONNECTIONS)
         with high:
             with pytest.raises(LatchOrderError):
                 low.acquire()
 
     def test_equal_rank_different_latch_raises(self):
-        a = Latch("a", RANK_WIRE)
-        b = Latch("b", RANK_WIRE)
+        a = Latch("a", RANK_CONNECTIONS)
+        b = Latch("b", RANK_CONNECTIONS)
         with a:
             with pytest.raises(LatchOrderError):
                 b.acquire()

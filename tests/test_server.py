@@ -1,6 +1,8 @@
 """Tests for repro.server: wire protocol, connection lifecycle,
-admission control, backpressure, and both transports."""
+admission control, one request at a time per connection, and both
+transports."""
 
+import select
 import socket
 import threading
 import time
@@ -99,6 +101,15 @@ class TestLifecycle:
         boot.sql("COMMIT")
         assert boot.sql("SELECT v FROM t WHERE k = 1") == [{"v": 11}]
         boot.close()
+        assert_clean_stop(server)
+
+    def test_each_client_adds_one_server_thread(self):
+        server = make_server()
+        before = threading.active_count()
+        clients = [connect(server.address) for _ in range(3)]
+        assert threading.active_count() - before == 3
+        for client in clients:
+            client.close()
         assert_clean_stop(server)
 
     def test_stop_cancels_parked_statement(self):
@@ -224,47 +235,102 @@ class TestAdmissionControl:
         second.close()
         assert_clean_stop(server)
 
-    def test_backpressure_rejects_pipelined_overflow(self):
-        server = make_server(queue_depth=1)
-        boot = connect(server.address)
-        boot.sql("CREATE TABLE t (k INT PRIMARY KEY, v INT)")
-        boot.sql("INSERT INTO t (k, v) VALUES (1, 10)")
-        holder = connect(server.address)
-        holder.sql("BEGIN")
-        holder.sql("UPDATE t SET v = 11 WHERE k = 1")
 
+def park_on_held_row(server):
+    """Create t(k=1), and return (boot, holder): holder's open
+    transaction holds the row lock on k=1."""
+    boot = connect(server.address)
+    boot.sql("CREATE TABLE t (k INT PRIMARY KEY, v INT)")
+    boot.sql("INSERT INTO t (k, v) VALUES (1, 10)")
+    holder = connect(server.address)
+    holder.sql("BEGIN")
+    holder.sql("UPDATE t SET v = 11 WHERE k = 1")
+    return boot, holder
+
+
+def wait_for_park(server):
+    deadline = time.monotonic() + 5
+    while server.engine.latch.parks == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert server.engine.latch.parks > 0, "statement never parked"
+
+
+@pytest.mark.parametrize("mode", ["threaded", "asyncio"])
+class TestOneRequestAtATime:
+    """A connection's next frame is read only after its last one is
+    answered, on both transports."""
+
+    def test_pipelined_pings_wait_behind_a_parked_update(self, mode):
+        server = make_server(mode=mode)
+        boot, holder = park_on_held_row(server)
         raw = RawConn(server.address)
         raw.send(id=1, op="hello")
         assert raw.recv()["ok"] is True
         raw.send(id=2, op="sql", sql="BEGIN ISOLATION LEVEL READ COMMITTED")
         assert raw.recv()["ok"] is True
-        # This statement parks its worker on the held lock...
         raw.send(id=3, op="sql", sql="UPDATE t SET v = 12 WHERE k = 1")
-        time.sleep(0.2)  # let the worker actually park
-        # ...so pipelining past queue_depth=1 must bounce with 53300.
+        wait_for_park(server)
         for i in range(4, 10):
             raw.send(id=i, op="ping")
-        # At least 5 of the 6 pings overflow the queue (6 when the
-        # worker had not yet dequeued the update); rejections are sent
-        # by the reader thread immediately, before the blocked work.
-        responses = {}
-        for _ in range(5):
-            frame = raw.recv()
-            responses[frame["id"]] = frame
-        rejected = [r for r in responses.values()
-                    if not r["ok"]
-                    and r["error"]["sqlstate"] == "53300"]
-        assert len(rejected) == 5
-        assert all(r["error"]["retryable"] for r in rejected)
-        # Unblock; every remaining id (3..9) gets exactly one response.
+        # Nothing is answered while the update is parked: the pings
+        # wait unread behind it.
+        readable, _, _ = select.select([raw.sock], [], [], 0.3)
+        assert readable == []
         holder.sql("COMMIT")
-        while len(responses) < 7:
-            frame = raw.recv()
-            responses[frame["id"]] = frame
-        assert responses[3]["ok"] is True and responses[3]["result"] == 1
+        frames = [raw.recv() for _ in range(7)]
+        assert [f["id"] for f in frames] == list(range(3, 10))
+        assert all(f["ok"] for f in frames), frames
+        assert frames[0]["result"] == 1
+        assert [f["result"] for f in frames[1:]] == ["pong"] * 6
+        raw.send(id=10, op="sql", sql="COMMIT")
+        assert raw.recv()["ok"] is True
+        assert boot.sql("SELECT v FROM t WHERE k = 1") == [{"v": 12}]
         for c in (boot, holder):
             c.close()
         raw.close()
+        assert_clean_stop(server)
+
+    def test_stop_during_parked_statement_is_leak_free(self, mode):
+        server = make_server(mode=mode)
+        boot, holder = park_on_held_row(server)
+        raw = RawConn(server.address)
+        raw.send(id=1, op="hello")
+        raw.send(id=2, op="sql", sql="BEGIN ISOLATION LEVEL READ COMMITTED")
+        raw.send(id=3, op="sql", sql="UPDATE t SET v = 12 WHERE k = 1")
+        wait_for_park(server)
+        assert_clean_stop(server)
+        # The cancelled update may or may not reach the wire before its
+        # socket is shut down; it must never report success.
+        frames = []
+        for line in raw.rfile:
+            frames.append(protocol.decode_frame(line.rstrip(b"\r\n")))
+        assert all(not f["ok"] for f in frames if f["id"] == 3)
+        raw.close()
+        for c in (boot, holder):
+            c._teardown()
+
+    def test_abrupt_disconnect_mid_transaction_is_leak_free(self, mode):
+        server = make_server(mode=mode)
+        boot, holder = park_on_held_row(server)
+        # One client vanishes idle in its transaction, the other while
+        # its statement is parked behind the first one's row lock.
+        waiter = RawConn(server.address)
+        waiter.send(id=1, op="hello")
+        waiter.send(id=2, op="sql", sql="BEGIN ISOLATION LEVEL READ COMMITTED")
+        waiter.send(id=3, op="sql", sql="UPDATE t SET v = 12 WHERE k = 1")
+        wait_for_park(server)
+        waiter.close()
+        holder._teardown()
+        # The holder's implicit rollback unparks the waiter's update,
+        # whose reply finds the socket gone; its connection then rolls
+        # back too, and k=1 keeps its committed value.
+        deadline = time.monotonic() + 5
+        while (server.active_connections > 1
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert server.active_connections == 1
+        assert boot.sql("SELECT v FROM t WHERE k = 1") == [{"v": 10}]
+        boot._teardown()
         assert_clean_stop(server)
 
 

@@ -252,3 +252,75 @@ class TestProperties:
                     assert rel_target(target[1]) not in held
                 elif target[0] == "ip":
                     assert index_rel_target(target[1]) not in held
+
+
+class _RecountingManager(SIReadLockManager):
+    """Reference: the lock count recomputed from the table each time."""
+
+    @property
+    def lock_count(self):
+        return (sum(len(h) for h in self._locks.values())
+                + len(self.summary_targets()))
+
+
+class TestLockCount:
+    @settings(max_examples=75, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3),      # actor
+                              st.sampled_from(["t", "p", "r", "ip", "ik",
+                                               "drop", "release", "summarize",
+                                               "cleanup", "split", "rewrite",
+                                               "transfer"]),
+                              st.integers(0, 1),      # rel/index oid
+                              st.integers(0, 3),      # page
+                              st.integers(0, 3)),     # slot
+                    max_size=80))
+    def test_kept_count_matches_recount(self, operations):
+        """The running holder-entry count equals the recomputed sum after
+        every operation, and peak tracking, capacity errors and work
+        units match a manager that recounts."""
+        config = dict(max_pred_locks_per_page=2,
+                      max_pred_locks_per_relation=3,
+                      max_predicate_locks=14)
+        kept = mgr(**config)
+        ref = _RecountingManager(SSIConfig(**config))
+        runs = [(kept, {i: sx(i + 1) for i in range(4)}),
+                (ref, {i: sx(i + 1) for i in range(4)})]
+        for seq, (actor_id, op, oid, page, slot) in enumerate(operations):
+            outcomes = []
+            for m, actors in runs:
+                actor = actors[actor_id]
+                try:
+                    if op == "t":
+                        m.acquire_tuple(actor, oid, TID(page, slot))
+                    elif op == "p":
+                        m.acquire_page(actor, oid, page)
+                    elif op == "r":
+                        m.acquire_relation(actor, oid)
+                    elif op == "ip":
+                        m.acquire_index_page(actor, 100 + oid, page)
+                    elif op == "ik":
+                        m.acquire_index_key(actor, 100 + oid, slot)
+                    elif op == "drop":
+                        m.drop_tuple_lock(actor, oid, TID(page, slot))
+                    elif op == "release":
+                        m.release_all(actor)
+                    elif op == "summarize":
+                        m.transfer_to_summary(actor, float(seq))
+                    elif op == "cleanup":
+                        m.cleanup_summary(float(seq - 5))
+                    elif op == "split":
+                        m.page_split(100 + oid, page, page + 4)
+                    elif op == "rewrite":
+                        m.promote_for_rewrite(oid, [100 + oid])
+                    elif op == "transfer":
+                        m.transfer_index_to_heap(100 + oid, oid)
+                    outcomes.append(None)
+                except CapacityExceededError:
+                    outcomes.append("capacity")
+            assert outcomes[0] == outcomes[1]
+            recount = (sum(len(h) for h in kept._locks.values())
+                       + len(kept.summary_targets()))
+            assert kept.lock_count == recount == ref.lock_count
+            assert kept.peak_lock_count == ref.peak_lock_count
+            assert kept.work_units == ref.work_units
+

@@ -51,6 +51,16 @@ class TestHeap:
         assert heap.fetch(tup.tid) is tup
         assert heap.fetch(TID(99, 0)) is None
 
+    def test_fetch_does_not_size_the_page(self, monkeypatch):
+        heap = Heap(page_size=4)
+        tup = heap.insert({"k": 42}, xid=3, cid=0)
+
+        def no_len(page):
+            raise AssertionError("fetch must not size the page")
+
+        monkeypatch.setattr(HeapPage, "__len__", no_len)
+        assert heap.fetch(tup.tid) is tup
+
     def test_scan_order_is_physical(self):
         heap = Heap(page_size=2)
         for i in range(5):
