@@ -21,8 +21,9 @@ likewise reported as measured-phase deltas.
 
 Tables are distributed by warehouse (the shard-key extractor of
 ``repro.shard.partition``), so most transactions are single-shard and
-take the fast path; item lookups and range scans still fan out, so the
-run also exercises 2PC + global certification under SERIALIZABLE.
+commit locally with no decision record; item lookups and range scans
+still fan out, so the run also exercises 2PC + global certification
+under SERIALIZABLE.
 
 Results go into BENCH_PERF.json under the "shards" key
 (read-modify-write, like the other perf suites). The companion gate

@@ -4,9 +4,17 @@ The paper notes (section 7.1, footnote): "PostgreSQL does not itself
 support distributed transactions; its two-phase commit support is
 intended as a primitive that can be used to build an external
 transaction coordinator." This module is that coordinator: it runs one
-logical transaction across several databases, drives the
-prepare-all-then-commit-all protocol, keeps its own decision log, and
-recovers in-doubt branches after a crash.
+logical transaction across several databases, keeps its own decision
+log, and recovers in-doubt branches after a crash.
+
+:meth:`Coordinator.commit_branches` is the one commit driver. It serves
+both :class:`DistributedTransaction` and the shard router
+(``repro.shard.session``), which adds its cross-shard certification and
+its per-shard parallel fan-out as two hooks. It picks the protocol from
+the branches it is given: one branch, or one writer branch, commits
+locally (its commit record is the commit point, and no decision is
+logged); two or more writers run full two-phase commit around a
+COMMITTED record in the decision log.
 
 Serializability remains a *per-database* guarantee, exactly as with
 PostgreSQL: SSI on each participant plus atomic commit across them.
@@ -17,10 +25,12 @@ from __future__ import annotations
 import enum
 import json
 import os
-from typing import Dict, Iterator, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.engine.isolation import IsolationLevel
-from repro.errors import InvalidTransactionStateError, ReproError
+from repro.errors import (DataCorruptionError, InvalidTransactionStateError,
+                          ReproError)
 
 
 class Decision(enum.Enum):
@@ -48,14 +58,31 @@ class DecisionLog:
         self._mutex = threading.Lock()
         self._entries: List[Tuple[str, Decision]] = []
         if path is not None and os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    rec = json.loads(line)
-                    self._entries.append(
-                        (rec["gid"], Decision(rec["decision"])))
+            self._replay(path)
+
+    def _replay(self, path: str) -> None:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        complete = data.rfind(b"\n") + 1
+        for lineno, line in enumerate(data[:complete].splitlines(), 1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+                entry = (rec["gid"], Decision(rec["decision"]))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise DataCorruptionError(
+                    f"decision log line {lineno} is not a decision record",
+                    path=path, kind="decision_log",
+                    reason="decode") from exc
+            self._entries.append(entry)
+        if complete < len(data):
+            # A torn last line: its append never returned from fsync, so
+            # no branch acted on it and presumed abort holds. Cut it off
+            # so that later appends start on a line boundary.
+            with open(path, "r+b") as fh:
+                fh.truncate(complete)
+                os.fsync(fh.fileno())
 
     def append(self, entry: Tuple[str, Decision]) -> None:
         gid, decision = entry
@@ -100,33 +127,60 @@ class DistributedTransaction:
 
     # -- two-phase commit ------------------------------------------------
     def commit(self) -> None:
-        """Prepare every branch, log the decision, then commit all.
+        """Commit every branch atomically through
+        :meth:`Coordinator.commit_branches`.
 
-        If any branch fails to prepare (e.g. an SSI pre-commit check
-        fires there), every branch is rolled back and the error is
-        re-raised: atomicity across databases.
+        If any branch fails to prepare or commit (e.g. an SSI
+        pre-commit check fires there), every branch is rolled back and
+        the error is re-raised: atomicity across databases.
         """
         self._check_active()
         try:
             self.coordinator.commit_branches(self.gid, self.sessions)
+        except ReproError:
+            self._rollback_sessions()
+            raise
         finally:
             self._finished = True
 
     def rollback(self) -> None:
         self._check_active()
-        for session in self.sessions.values():
-            if session.in_transaction():
-                session.rollback()
+        self._rollback_sessions()
         self.coordinator.log.append((self.gid, Decision.ABORTED))
         self._finished = True
 
-    def _branch_gid(self, name: str) -> str:
-        return f"{self.gid}:{name}"
+    def _rollback_sessions(self) -> None:
+        for session in self.sessions.values():
+            if session.in_transaction():
+                session.rollback()
 
     def _check_active(self) -> None:
         if self._finished:
             raise InvalidTransactionStateError(
                 f"distributed transaction {self.gid} already finished")
+
+
+#: One engine call of the driver: (branch name, zero-argument call).
+BranchCall = Tuple[str, Callable[[], Any]]
+#: Its outcome: (result, exception), exactly one of them set.
+CallResult = Tuple[Any, Optional[BaseException]]
+
+
+def _in_turn(calls: List[BranchCall]) -> List[CallResult]:
+    """The default ``fan_out``: run the calls one after another."""
+    out: List[CallResult] = []
+    for _name, call in calls:
+        try:
+            out.append((call(), None))
+        except ReproError as exc:
+            out.append((None, exc))
+    return out
+
+
+def _raise_first(results: List[CallResult]) -> None:
+    for _result, exc in results:
+        if exc is not None:
+            raise exc
 
 
 class Coordinator:
@@ -148,50 +202,74 @@ class Coordinator:
             self._next_gid += 1
         return DistributedTransaction(self, gid, isolation)
 
-    def commit_branches(self, gid: str, sessions: Dict[str, "object"], *,
-                        on_prepared=None, before_commit=None,
-                        commit_prepared=None) -> List[str]:
-        """Two-phase-commit externally supplied branch sessions.
+    def commit_branches(self, gid: str, sessions: Dict[str, Any], *,
+                        certify: Callable[[], None] = lambda: None,
+                        fan_out: Callable[[List[BranchCall]],
+                                          List[CallResult]] = _in_turn
+                        ) -> None:
+        """Commit the branch sessions that are in a transaction, as one.
 
-        Generalizes :meth:`DistributedTransaction.commit` for callers
-        (the shard router) that manage their own branch sessions:
-        prepare every in-transaction branch, run ``on_prepared()`` --
-        the distributed-SSI certification hook; if it raises, every
-        prepared branch is rolled back and ABORTED is logged -- then
-        run ``before_commit()`` (visibility bookkeeping that must
-        precede the first branch commit), log the COMMITTED decision
-        (the commit point), and commit the prepared branches.
-        ``commit_prepared(name, branch_gid)`` overrides the default
-        per-branch commit call so callers can fan it out in parallel
-        or route it through per-shard engine latches.
+        With at most one writer branch (``txn.wal_changes``) the other
+        branches are PREPAREd, ``certify()`` runs, and the writer -- or
+        the lone branch -- commits locally: its commit record is the
+        commit point and no decision is logged. With two or more
+        writers every branch is PREPAREd, ``certify()`` runs, and
+        COMMITTED is logged as the commit point. Either way the
+        prepared branches then commit. A :class:`ReproError` before the
+        commit point rolls the prepared branches back (logging ABORTED
+        when two-phase) and is re-raised; branches never prepared are
+        left to the caller. Any other exception is a crash and leaves
+        in-doubt branches to :meth:`recover`.
+
+        Every engine call goes through ``fan_out``, which runs
+        (branch, call) pairs and returns (result, exception) pairs in
+        order; the shard router runs them in parallel, each under its
+        shard's engine latch, and certifies across shards in
+        ``certify``.
         """
+        live = {name: sess for name, sess in sessions.items()
+                if sess.in_transaction()}
+        writers = [name for name, sess in live.items()
+                   if sess.txn.wal_changes]
+        two_phase = len(writers) > 1
+        # The branch that commits locally, if any.
+        if len(writers) == 1:
+            local = writers[0]
+        elif len(live) == 1:
+            local, = live
+        else:
+            local = None
+
+        def resolve(method: str) -> None:
+            """COMMIT or ROLLBACK PREPARED every prepared branch."""
+            _raise_first(fan_out([
+                (name, partial(getattr(self.databases[name], method),
+                               f"{gid}:{name}"))
+                for name in prepared]))
+
+        to_prepare = [name for name in live if name != local]
         prepared: List[str] = []
         try:
-            for name, session in sessions.items():
-                if session.in_transaction():
-                    session.prepare_transaction(f"{gid}:{name}")
-                    prepared.append(name)
-            if on_prepared is not None:
-                on_prepared()
+            results = fan_out([
+                (name, partial(live[name].prepare_transaction,
+                               f"{gid}:{name}"))
+                for name in to_prepare])
+            prepared = [name for name, (_r, exc)
+                        in zip(to_prepare, results) if exc is None]
+            _raise_first(results)
+            certify()
+            if two_phase:
+                # The decision record is the commit point: branches
+                # prepared before it commit even across a crash.
+                self.log.append((gid, Decision.COMMITTED))
+            elif local is not None:
+                _raise_first(fan_out([(local, live[local].commit)]))
         except ReproError:
-            for name in prepared:
-                self.databases[name].rollback_prepared(f"{gid}:{name}")
-            for session in sessions.values():
-                if session.in_transaction():
-                    session.rollback()
-            self.log.append((gid, Decision.ABORTED))
+            resolve("rollback_prepared")
+            if two_phase:
+                self.log.append((gid, Decision.ABORTED))
             raise
-        if before_commit is not None:
-            before_commit()
-        # The decision record is the commit point: branches prepared
-        # after this line are committed even across a coordinator crash.
-        self.log.append((gid, Decision.COMMITTED))
-        for name in prepared:
-            if commit_prepared is not None:
-                commit_prepared(name, f"{gid}:{name}")
-            else:
-                self.databases[name].commit_prepared(f"{gid}:{name}")
-        return prepared
+        resolve("commit_prepared")
 
     def decision_for(self, gid: str) -> Optional[Decision]:
         for logged_gid, decision in reversed(self.log):

@@ -10,8 +10,8 @@ per-branch conflict lists, translated from shard-local xids to global
 transaction ids, are exactly the missing facts.
 
 The :class:`GlobalCertifier` maintains that translated graph. Every
-transaction -- single-shard fast path or 2PC -- runs one certification
-step at commit: it exports the in/out rw-antidependency summaries of
+transaction -- one branch or many -- runs one certification step at
+commit: it exports the in/out rw-antidependency summaries of
 each of its branch sxacts (keyed by global transaction id, the
 PREPARE-time exchange of the issue), merges them into the global
 graph, and re-runs the paper's dangerous-structure test in all three

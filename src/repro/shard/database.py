@@ -7,8 +7,10 @@ safe-snapshot markers -- into one logical database:
 
 * tables are hash-partitioned by primary key (:mod:`repro.shard.partition`);
 * transactions run through :class:`repro.shard.session.ShardedSession`,
-  which opens shard branches lazily, fast-paths single-shard commits,
-  and two-phase-commits multi-shard ones;
+  which opens shard branches lazily and commits them all through the
+  coordinator's one driver, :meth:`Coordinator.commit_branches`: one
+  branch or one writer branch commits locally, two or more writer
+  branches run two-phase commit around the decision log;
 * every commit is certified by the :class:`GlobalCertifier`, which
   merges per-branch rw-antidependency summaries keyed by global
   transaction id -- cross-shard dangerous structures doom their pivot

@@ -3,22 +3,21 @@
 Statements route through the partitioner -- a primary-key equality
 predicate pins a statement to one shard, anything else fans out -- and
 shard branches open lazily: a transaction that only ever touches one
-shard never pays for the others, and its commit takes a **fast path**
-that skips the 2PC coordinator entirely. What the fast path never
-skips is *certification*: every commit (fast or distributed) exports
-its branch rw-antidependency summaries to the
+shard never pays for the others.
+
+Every commit goes through the one two-phase-commit driver,
+:meth:`Coordinator.commit_branches`, which picks the protocol from the
+branches: a single branch, or a single writer branch, commits locally
+with no decision record; two or more writers prepare, log COMMITTED in
+the coordinator's persistent decision log, and commit prepared. The
+router supplies two hooks. ``certify`` is what no commit skips: it
+exports the branch rw-antidependency summaries to the
 :class:`~repro.shard.certifier.GlobalCertifier` and runs the
 cross-shard dangerous-structure check, because a single-shard
 transaction can still be the T1 or T3 of a structure whose pivot spans
-shards.
-
-Multi-shard commits prepare every branch (each shard's local SSI
-pre-commit check runs inside PREPARE), certify with the exchanged
-summaries, log the decision in the coordinator's persistent log, and
-then commit the prepared branches -- prepare and commit fan-out go
-through :meth:`_map`, which subclasses (``repro.shard.threaded``)
-override to run thread-per-shard in parallel under the existing engine
-latch ranks.
+shards. ``fan_out`` runs the driver's engine calls through
+:meth:`_map`, which subclasses (``repro.shard.threaded``) override to
+run thread-per-shard in parallel under the existing engine latch ranks.
 
 Lazy branch snapshots are policed for cross-shard atomicity: opening a
 late branch re-checks the certifier's recent multi-shard commit
@@ -33,9 +32,9 @@ no branches at all and can never abort or be aborted.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.engine.coordinator import Decision
 from repro.engine.isolation import IsolationLevel
 from repro.engine.predicate import Predicate
 from repro.errors import (FeatureNotSupportedError,
@@ -120,19 +119,37 @@ class ShardedSession:
         if self._failed:
             self._abort_all(gid)
             return False
-        branches = {s: sess for s, sess in self._branches.items()
+        branches = {s: sess for s, sess in sorted(self._branches.items())
                     if sess.in_transaction()}
+        certifier = self.sdb.certifier
+        # Captured now: a prepared branch session detaches its txn.
+        sxacts = [(s, sess.txn.sxact) for s, sess in branches.items()]
+        shard_of = {self.sdb.shard_name(s): s for s in branches}
+
+        def certify() -> None:
+            certifier.certify(gid, sxacts)
+            if len(branches) > 1:
+                # Before any branch commit applies, and read-only
+                # branches included (see register_multi_commit).
+                certifier.register_multi_commit(list(branches))
+
+        def fan_out(calls):
+            results = self._map([
+                (shard_of[name], partial(self._run_on, shard_of[name], call))
+                for name, call in calls])
+            return [(result, exc) for _s, result, exc in results]
+
         try:
-            if len(branches) <= 1:
-                self._commit_fast(gid, branches)
-            else:
-                self._commit_2pc(gid, branches)
+            certifier.ensure_not_doomed(gid)
+            self.sdb.coordinator.commit_branches(
+                gid, {name: branches[s] for name, s in shard_of.items()},
+                certify=certify, fan_out=fan_out)
         except ReproError:
-            self.sdb.certifier.abort(gid)
+            certifier.abort(gid)
             self._rollback_live_branches()
             self._reset()
             raise
-        self.sdb.certifier.finish_commit(gid)
+        certifier.finish_commit(gid)
         self._reset()
         return True
 
@@ -409,138 +426,6 @@ class ShardedSession:
         self._failed = True
         if autocommit:
             self.rollback()
-
-    # ------------------------------------------------------------------
-    # commit paths
-    # ------------------------------------------------------------------
-    def _commit_fast(self, gid: str, branches: Dict[int, Any]) -> None:
-        """Single-shard (or empty) commit: certify, then one local
-        commit -- no coordinator, no prepare."""
-        certifier = self.sdb.certifier
-        certifier.ensure_not_doomed(gid)
-        if not branches:
-            certifier.certify(gid, [])
-            return
-        (shard, sess), = branches.items()
-        certifier.certify(gid, [(shard, sess.txn.sxact)])
-        # A local pre-commit failure here propagates to commit()'s
-        # handler, which rolls the certifier's COMMITTING state back.
-        self._run_on(shard, sess.commit)
-
-    def _commit_2pc(self, gid: str, branches: Dict[int, Any]) -> None:
-        """Multi-shard commit: prepare all branches (local SSI checks
-        run inside PREPARE), certify with the exchanged summaries, log
-        the decision durably, then commit the prepared branches.
-
-        With at most one *writer* branch the one-phase optimization
-        applies instead: the writer's own WAL commit record is the
-        atomic commit point, so no coordinator decision and no prepare
-        flush are needed."""
-        sdb = self.sdb
-        certifier = sdb.certifier
-        certifier.ensure_not_doomed(gid)
-        txns = {s: sess.txn for s, sess in branches.items()}
-        sxacts = [(s, txn.sxact) for s, txn in sorted(txns.items())]
-        branch_shards = sorted(txns)
-        writers = [s for s in branch_shards if txns[s].wal_changes]
-        if len(writers) <= 1:
-            self._commit_one_phase(gid, branches, writers, sxacts,
-                                   branch_shards)
-            return
-        # Phase 1: prepare, fanned out per shard.
-        results = self._map([
-            (s, (lambda s=s, sess=sess:
-                 self._run_on(s, sess.prepare_transaction,
-                              self._branch_gid(gid, s))))
-            for s, sess in sorted(branches.items())])
-        prepared = [s for s, _r, exc in results if exc is None]
-        first_exc = next((exc for _s, _r, exc in results
-                          if exc is not None), None)
-        if first_exc is None:
-            try:
-                certifier.certify(gid, sxacts)
-            except ReproError as exc:
-                first_exc = exc
-        if first_exc is not None:
-            for s in prepared:
-                self._run_on(s, sdb.shards[s].rollback_prepared,
-                             self._branch_gid(gid, s))
-            sdb.coordinator.log.append((gid, Decision.ABORTED))
-            raise first_exc
-        # Registered before any branch commit applies, so a racing late
-        # branch begin sees the footprint. Every branch shard counts,
-        # not just writer shards: committing fixes an ordering fact on
-        # read-only branches too (a later writer there is judged
-        # non-concurrent with us, silently dropping the local rw edge),
-        # so a transaction snapshotting shard A before our commit and
-        # shard B after it has a fractured view either way.
-        certifier.register_multi_commit(branch_shards)
-        # The decision record is the commit point (persisted when the
-        # coordinator has a log path): prepared branches now commit
-        # even across a coordinator restart.
-        sdb.coordinator.log.append((gid, Decision.COMMITTED))
-        commit_results = self._map([
-            (s, (lambda s=s: self._run_on(
-                s, sdb.shards[s].commit_prepared, self._branch_gid(gid, s))))
-            for s in prepared])
-        for _s, _r, exc in commit_results:
-            if exc is not None:  # pragma: no cover - prepared commits
-                raise exc        # cannot fail the SSI check
-
-    def _commit_one_phase(self, gid: str, branches: Dict[int, Any],
-                          writers: List[int], sxacts, branch_shards) -> None:
-        """Commit a multi-shard transaction with <= 1 writer branch.
-
-        Reader branches are still PREPAREd first -- prepare runs each
-        shard's local SSI pre-commit check and pins the branch, so
-        nothing can fail after the writer commits -- but a no-write
-        prepare is memory-only (no WAL flush). Then certify, then
-        commit the writer normally: its local commit record is the
-        atomic commit point (readers have no effects to make atomic;
-        if we crash before their commit-prepared they resolve to
-        no-ops). The coordinator decision log is not involved."""
-        sdb = self.sdb
-        certifier = sdb.certifier
-        writer = writers[0] if writers else None
-        readers = [s for s in branch_shards if s != writer]
-        results = self._map([
-            (s, (lambda s=s, sess=branches[s]:
-                 self._run_on(s, sess.prepare_transaction,
-                              self._branch_gid(gid, s))))
-            for s in readers])
-        prepared = [s for s, _r, exc in results if exc is None]
-        first_exc = next((exc for _s, _r, exc in results
-                          if exc is not None), None)
-        if first_exc is None:
-            try:
-                certifier.certify(gid, sxacts)
-            except ReproError as exc:
-                first_exc = exc
-        if first_exc is None:
-            # Commit fixes ordering facts on every branch shard (see
-            # _commit_2pc); register before any of them applies.
-            certifier.register_multi_commit(branch_shards)
-            if writer is not None:
-                try:
-                    # Runs the writer's local SSI pre-commit check too.
-                    self._run_on(writer, branches[writer].commit)
-                except ReproError as exc:
-                    first_exc = exc
-        if first_exc is not None:
-            for s in prepared:
-                self._run_on(s, sdb.shards[s].rollback_prepared,
-                             self._branch_gid(gid, s))
-            raise first_exc
-        commit_results = self._map([
-            (s, (lambda s=s: self._run_on(
-                s, sdb.shards[s].commit_prepared, self._branch_gid(gid, s))))
-            for s in prepared])
-        for _s, _r, exc in commit_results:
-            if exc is not None:  # pragma: no cover - prepared commits
-                raise exc        # cannot fail the SSI check
-
-    def _branch_gid(self, gid: str, shard: int) -> str:
-        return f"{gid}:{self.sdb.shard_name(shard)}"
 
     # ------------------------------------------------------------------
     # abort / cleanup

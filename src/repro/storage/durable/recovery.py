@@ -146,6 +146,32 @@ class _PageState:
         self.dirty = True
 
 
+def _commit_records(frames: List[Tuple[int, Dict[str, Any]]]
+                    ) -> List[CommitRecord]:
+    """The logical commit stream that replicas read, rebuilt from every
+    commit and commit-prepared frame in log order. It starts at the
+    beginning of the log, not at ``redo_lsn``: a replica attached after
+    recovery applies the list from its first record. A commit-prepared
+    frame takes its changes from the transaction's prepare frame."""
+    prepared: Dict[str, List[Any]] = {}
+    records: List[CommitRecord] = []
+    for lsn, rec in frames:
+        kind = rec.get("t")
+        if kind == "prepare":
+            prepared[rec["gid"]] = rec["ch"]
+        elif kind == "aprep":
+            prepared.pop(rec["gid"], None)
+        elif kind in ("commit", "cprep"):
+            changes = (rec["ch"] if kind == "commit"
+                       else prepared.pop(rec["gid"], None))
+            if changes is None:
+                continue
+            records.append(CommitRecord(
+                xid=rec["xid"], changes=[tuple(ch) for ch in changes],
+                safe_snapshot_marker=bool(rec["m"]), lsn=lsn))
+    return records
+
+
 def _replay(db, mgr, doc: Dict[str, Any]) -> Dict[str, Any]:
     store = mgr.store
     store.special_names.update(doc.get("segment_files", {}))
@@ -306,10 +332,6 @@ def _replay(db, mgr, doc: Dict[str, Any]) -> Dict[str, Any]:
             db.clog.set_committed(rec["c"])
             db.clog.set_aborted(rec["ab"])
             apply_physical(rec, lsn)
-            db.wal.append(CommitRecord(
-                xid=rec["xid"],
-                changes=[tuple(ch) for ch in rec["ch"]],
-                safe_snapshot_marker=bool(rec["m"]), lsn=lsn))
             if rec.get("seq"):
                 commit_counter = max(commit_counter, int(rec["seq"]))
             commits_replayed += 1
@@ -331,10 +353,6 @@ def _replay(db, mgr, doc: Dict[str, Any]) -> Dict[str, Any]:
                 info = ckpt_prepared.pop(rec["gid"], None)
             if info is not None:
                 db.clog.set_committed(info["c"])
-                db.wal.append(CommitRecord(
-                    xid=rec["xid"],
-                    changes=[tuple(ch) for ch in info["ch"]],
-                    safe_snapshot_marker=bool(rec["m"]), lsn=lsn))
             if rec.get("seq"):
                 commit_counter = max(commit_counter, int(rec["seq"]))
             max_xid = max(max_xid, rec["xid"])
@@ -344,6 +362,7 @@ def _replay(db, mgr, doc: Dict[str, Any]) -> Dict[str, Any]:
             ckpt_prepared.pop(rec["gid"], None)
             db.clog.set_aborted(rec["ab"])
             max_xid = max(max_xid, rec["xid"])
+    db.wal.extend(_commit_records(frames))
 
     # ------------------------------------------------------------------
     # install heaps

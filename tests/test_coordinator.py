@@ -4,8 +4,8 @@ import pytest
 
 from repro.config import EngineConfig
 from repro.engine import Database, Eq, IsolationLevel
-from repro.engine.coordinator import Coordinator, Decision
-from repro.errors import SerializationFailure
+from repro.engine.coordinator import Coordinator, Decision, DecisionLog
+from repro.errors import DataCorruptionError, SerializationFailure
 
 SER = IsolationLevel.SERIALIZABLE
 
@@ -38,6 +38,20 @@ class TestAtomicCommit:
         assert banks["west"].session().select(
             "accounts", Eq("id", 1))[0]["balance"] == 130
         assert coordinator.decision_for("dtx1") is Decision.COMMITTED
+
+    def test_one_writer_commits_one_phase_without_a_decision(
+            self, coordinator, banks):
+        """With a single writer branch that branch's own commit record
+        is the commit point: the reader branch is prepared and then
+        committed, and the decision log stays empty."""
+        dtx = coordinator.transaction()
+        assert dtx.on("east").select("accounts", Eq("id", 1))
+        dtx.on("west").update("accounts", Eq("id", 1), {"balance": 7})
+        dtx.commit()
+        assert len(coordinator.log) == 0
+        assert banks["west"].session().select(
+            "accounts", Eq("id", 1))[0]["balance"] == 7
+        assert all(db.prepared_gids() == [] for db in banks.values())
 
     def test_rollback_affects_all_branches(self, coordinator, banks):
         dtx = coordinator.transaction()
@@ -125,3 +139,27 @@ class TestRecovery:
         assert coordinator.recover() == {}
         assert banks["east"].prepared_gids() == ["manual-2pc"]
         banks["east"].rollback_prepared("manual-2pc")
+
+
+class TestDecisionLogFile:
+    def test_torn_last_line_is_cut_off(self, tmp_path):
+        """A crash mid-append leaves a partial last line. It never
+        finished its fsync, so reopening drops it (presumed abort) and
+        truncates the file, keeping later appends parseable."""
+        path = tmp_path / "decisions.jsonl"
+        DecisionLog(str(path)).append(("g1", Decision.COMMITTED))
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"gid": "g2", "deci')
+        reopened = DecisionLog(str(path))
+        assert list(reopened) == [("g1", Decision.COMMITTED)]
+        reopened.append(("g3", Decision.ABORTED))
+        assert list(DecisionLog(str(path))) == [
+            ("g1", Decision.COMMITTED), ("g3", Decision.ABORTED)]
+
+    def test_undecodable_inner_line_is_corruption(self, tmp_path):
+        path = tmp_path / "decisions.jsonl"
+        path.write_text('{"gid": "g1", "deci\n'
+                        '{"gid": "g2", "decision": "committed"}\n')
+        with pytest.raises(DataCorruptionError) as err:
+            DecisionLog(str(path))
+        assert err.value.path == str(path)

@@ -5,11 +5,12 @@ import time
 
 import pytest
 
-from repro.config import EngineConfig
+from repro.config import DurabilityConfig, EngineConfig
 from repro.engine import Database, Eq, IsolationLevel
 from repro.errors import (FeatureNotSupportedError, RetryableError,
                           StatementTimeout)
 from repro.replication import Replica, ReplicaReadMode
+from repro.storage.durable import open_database
 
 SER = IsolationLevel.SERIALIZABLE
 
@@ -71,6 +72,39 @@ class TestLogShipping:
         assert replica.catch_up() == 0
         s.insert("receipts", {"rid": 2, "batch": 1, "amount": 6})
         assert replica.catch_up() == 1
+
+
+class TestReplicaOfRecoveredDatabase:
+    def test_replica_sees_rows_committed_before_the_checkpoint(self,
+                                                              tmp_path):
+        """Recovery replays only the frames past the checkpoint's
+        redo_lsn, but a replica attached afterwards applies the commit
+        stream from its first record, so that stream must cover the
+        whole log -- including a prepared transaction whose PREPARE
+        precedes the checkpoint and whose COMMIT PREPARED follows it."""
+        def cfg():
+            return EngineConfig.durable(
+                str(tmp_path), durability=DurabilityConfig(fsync=False))
+
+        db = Database(cfg())
+        db.create_table("t", ["k", "v"], key="k")
+        s = db.session()
+        for k in range(5):
+            s.insert("t", {"k": k, "v": k})
+        p = db.session()
+        p.begin(SER)
+        p.insert("t", {"k": 8, "v": 8})
+        p.prepare_transaction("pp")
+        db.checkpoint()
+        for k in range(5, 8):
+            s.insert("t", {"k": k, "v": k})
+        db.commit_prepared("pp")
+        del db, s, p  # kill: no clean shutdown
+        recovered = open_database(str(tmp_path), cfg())
+        replica = Replica(recovered)
+        replica.catch_up()
+        assert sorted(r["k"] for r in replica.query("t")) == list(range(9))
+        recovered.close()
 
 
 class TestSafeSnapshotsOnReplica:

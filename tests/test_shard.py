@@ -2,18 +2,21 @@
 certification, snapshot coherence, 2PC recovery, and replica routing."""
 
 import threading
+from functools import partial
 
 import pytest
 
-from repro.config import EngineConfig
+from repro.config import DurabilityConfig, EngineConfig
 from repro.engine import Eq, IsolationLevel
-from repro.engine.coordinator import Decision, DecisionLog
+from repro.engine.coordinator import Coordinator, Decision, DecisionLog
 from repro.engine.predicate import And, Ge, Gt, Le
 from repro.errors import (FeatureNotSupportedError, ReadOnlyTransactionError,
                           SerializationFailure)
 from repro.shard.database import ShardedDatabase
 from repro.shard.partition import Partitioner, shard_for
-from repro.shard.threaded import ThreadedShardedDatabase
+from repro.shard.threaded import (ThreadedShardedDatabase,
+                                  ThreadedShardedSession)
+from repro.storage.durable import SimulatedCrash, open_database
 
 SER = IsolationLevel.SERIALIZABLE
 RR = IsolationLevel.REPEATABLE_READ
@@ -137,20 +140,56 @@ class TestRoutingAndDML:
             sess.savepoint("sp1")
 
 
+@pytest.fixture(params=["base", "threaded"])
+def router(request):
+    """(sharded database, session factory) for each router that commits
+    through the coordinator's driver."""
+    sdb = make_db()
+    if request.param == "base":
+        yield sdb, sdb.session
+        return
+    tdb = ThreadedShardedDatabase(sdb)
+    yield sdb, tdb.session
+    tdb.close()
+
+
+def spy_on_branch_calls(sdb, monkeypatch):
+    """Record (engine method, thread name) for every prepare and
+    commit-prepared call on the shards."""
+    seen = []
+    for db in sdb.shards:
+        for method in ("prepare_txn", "commit_prepared"):
+            def spy(*args, _real=getattr(db, method), _method=method):
+                seen.append((_method, threading.current_thread().name))
+                return _real(*args)
+            monkeypatch.setattr(db, method, spy)
+    return seen
+
+
 class TestCommitPaths:
-    def test_single_shard_commit_skips_coordinator(self):
-        sdb = make_db()
-        sess = sdb.session(SER)
-        sess.begin(SER)
+    """The decision log per commit path, on both routers."""
+
+    def test_single_shard_commit_skips_coordinator(self, router):
+        sdb, open_session = router
+        sess = open_session(SER)
+        gid = sess.begin(SER)
         sess.update("accounts", Eq("id", 2), {"bal": 7})
         assert sess.commit()
         assert len(sdb.coordinator.log) == 0
-        assert sdb.certifier.state_of("g1") == "committed"
+        assert sdb.certifier.state_of(gid) == "committed"
 
-    def test_one_writer_multi_shard_commit_skips_decision_log(self):
+    def test_empty_commit_skips_coordinator(self, router):
+        sdb, open_session = router
+        sess = open_session(SER)
+        gid = sess.begin(SER)
+        assert sess.commit()
+        assert len(sdb.coordinator.log) == 0
+        assert sdb.certifier.state_of(gid) == "committed"
+
+    def test_one_writer_multi_shard_commit_skips_decision_log(self, router):
         a, b = two_keys_on_distinct_shards()
-        sdb = make_db()
-        sess = sdb.session(SER)
+        sdb, open_session = router
+        sess = open_session(SER)
         sess.begin(SER)
         sess.select("accounts", Eq("id", a))   # reader branch
         sess.update("accounts", Eq("id", b), {"bal": 5})
@@ -159,33 +198,70 @@ class TestCommitPaths:
         # One-phase: no coordinator decision, nothing left prepared.
         assert len(sdb.coordinator.log) == 0
         assert all(db.prepared_gids() == [] for db in sdb.shards)
-        rows = sdb.session(SER).select("accounts", Eq("id", b))
+        rows = open_session(SER).select("accounts", Eq("id", b))
         assert rows[0]["bal"] == 5
 
-    def test_two_writer_commit_logs_decision_and_applies_both(self):
+    def test_two_writer_commit_logs_decision_and_applies_both(
+            self, router, monkeypatch):
         a, b = two_keys_on_distinct_shards()
-        sdb = make_db()
-        sess = sdb.session(SER)
+        sdb, open_session = router
+        sess = open_session(SER)
         gid = sess.begin(SER)
         sess.update("accounts", Eq("id", a), {"bal": 1})
         sess.update("accounts", Eq("id", b), {"bal": 2})
+        seen = spy_on_branch_calls(sdb, monkeypatch)
         assert sess.commit()
         assert list(sdb.coordinator.log) == [(gid, Decision.COMMITTED)]
         assert all(db.prepared_gids() == [] for db in sdb.shards)
-        check = sdb.session(SER)
+        check = open_session(SER)
         assert check.select("accounts", Eq("id", a))[0]["bal"] == 1
         assert check.select("accounts", Eq("id", b))[0]["bal"] == 2
+        # The threaded router fans prepares and commits out to the
+        # per-shard workers; the base router runs them in turn.
+        assert sorted(m for m, _t in seen) == [
+            "commit_prepared", "commit_prepared",
+            "prepare_txn", "prepare_txn"]
+        threads = {t for _m, t in seen}
+        if isinstance(sess, ThreadedShardedSession):
+            assert threads == {"shard-worker-0", "shard-worker-1"}
+        else:
+            assert threads == {threading.current_thread().name}
 
-    def test_rollback_leaves_no_branch_state(self):
+    def test_two_writer_prepare_failure_logs_abort(self, router):
+        """A branch whose PREPARE fails its local SSI check aborts the
+        whole transaction: the other branch's prepare is rolled back
+        and ABORTED is logged."""
+        x, y = [k for k in range(8) if shard_for(k, 2) == 0][:2]
+        _a, b = two_keys_on_distinct_shards()
+        sdb, open_session = router
+        pivot, t_in, t_out = (open_session(SER) for _ in range(3))
+        gid = pivot.begin(SER)
+        t_in.begin(SER)
+        t_out.begin(SER)
+        pivot.select("accounts", Eq("id", x))
+        t_in.select("accounts", Eq("id", y))
+        pivot.update("accounts", Eq("id", y), {"bal": 1})   # t_in -> pivot
+        pivot.update("accounts", Eq("id", b), {"bal": 1})   # second writer
+        t_out.update("accounts", Eq("id", x), {"bal": 2})   # pivot -> t_out
+        assert t_out.commit()     # t_out commits first: pivot is doomed
+        with pytest.raises(SerializationFailure):
+            pivot.commit()
+        t_in.rollback()
+        assert list(sdb.coordinator.log) == [(gid, Decision.ABORTED)]
+        assert all(db.prepared_gids() == [] for db in sdb.shards)
+        assert open_session(SER).select(
+            "accounts", Eq("id", b))[0]["bal"] == 100
+
+    def test_rollback_leaves_no_branch_state(self, router):
         a, b = two_keys_on_distinct_shards()
-        sdb = make_db()
-        sess = sdb.session(SER)
+        sdb, open_session = router
+        sess = open_session(SER)
         gid = sess.begin(SER)
         sess.update("accounts", Eq("id", a), {"bal": 0})
         sess.update("accounts", Eq("id", b), {"bal": 0})
         sess.rollback()
         assert sdb.certifier.state_of(gid) == "aborted"
-        rows = sdb.session(SER).select("accounts")
+        rows = open_session(SER).select("accounts")
         assert all(r["bal"] == 100 for r in rows)
 
 
@@ -334,6 +410,128 @@ class TestDecisionLogRecovery:
         assert all(r["bal"] == 1 for r in rows0)       # gA applied
         rows1 = sdb.shards[1].session().select("accounts")
         assert all(r["bal"] == 100 for r in rows1)     # gB rolled back
+
+
+class PowerCut:
+    """Kills a commit after its ``at``-th step. Steps are the driver's
+    engine calls plus the certification and the decision append; once
+    power is cut every further step raises SimulatedCrash, as it would
+    in a dead process."""
+
+    def __init__(self, at: int) -> None:
+        self.at = at
+        self.steps = []
+
+    def step(self, label, fn, *args, **kw):
+        if len(self.steps) == self.at:
+            raise SimulatedCrash("call", label, "after the power cut")
+        result = fn(*args, **kw)
+        self.steps.append(label)
+        if len(self.steps) == self.at:
+            raise SimulatedCrash("call", label)
+        return result
+
+    def arm(self, monkeypatch, sdb, sess) -> None:
+        run_on, certifier = sess._run_on, sdb.certifier
+        log = sdb.coordinator.log
+
+        def engine_call(shard, fn, *args, **kw):
+            name = getattr(fn, "func", fn).__name__
+            return self.step(f"{name}@s{shard}", run_on, shard, fn,
+                             *args, **kw)
+
+        monkeypatch.setattr(sess, "_run_on", engine_call)
+        monkeypatch.setattr(
+            certifier, "register_multi_commit",
+            partial(self.step, "certify", certifier.register_multi_commit))
+        monkeypatch.setattr(log, "append",
+                            partial(self.step, "decide", log.append))
+
+
+class TestCommitKillPoints:
+    """Crash a durable sharded commit at every step of the driver, then
+    reopen every shard and resolve in-doubt branches from the decision
+    log: rows are all-or-nothing across shards, and committed exactly
+    when the commit point was reached."""
+
+    TWO_WRITERS = ["prepare_transaction@s0", "prepare_transaction@s1",
+                   "certify", "decide",
+                   "commit_prepared@s0", "commit_prepared@s1"]
+    ONE_WRITER = ["prepare_transaction@s0", "certify", "commit@s1",
+                  "commit_prepared@s0"]
+
+    @staticmethod
+    def cfg(data_dir):
+        return EngineConfig.durable(
+            str(data_dir), durability=DurabilityConfig(fsync=False))
+
+    def run(self, tmp_path, monkeypatch, at, *, write_a):
+        a, b = two_keys_on_distinct_shards()
+        dirs = [tmp_path / f"s{i}" for i in range(2)]
+        log_path = str(tmp_path / "decisions.jsonl")
+        sdb = ShardedDatabase(2, [self.cfg(d) for d in dirs],
+                              coordinator_log=log_path)
+        sdb.create_table("accounts", ["id", "bal"], key="id")
+        sdb.load_rows("accounts", [{"id": i, "bal": 100} for i in range(8)])
+        sess = sdb.session(SER)
+        sess.begin(SER)
+        if write_a:
+            sess.update("accounts", Eq("id", a), {"bal": 1})
+        else:
+            sess.select("accounts", Eq("id", a))
+        sess.update("accounts", Eq("id", b), {"bal": 2})
+        cut = PowerCut(at)
+        cut.arm(monkeypatch, sdb, sess)
+        if at is None:
+            assert sess.commit()
+            return cut.steps, None, None
+        with pytest.raises(SimulatedCrash):
+            sess.commit()
+        monkeypatch.undo()
+        del sdb, sess  # kill: no clean shutdown
+        shards = [open_database(str(d), self.cfg(d)) for d in dirs]
+        coordinator = Coordinator(
+            {ShardedDatabase.shard_name(i): db
+             for i, db in enumerate(shards)}, log_path=log_path)
+        actions = coordinator.recover()
+        assert all(db.prepared_gids() == [] for db in shards)
+        bals = (shards[0].session().select("accounts", Eq("id", a))[0]["bal"],
+                shards[1].session().select("accounts", Eq("id", b))[0]["bal"])
+        for db in shards:
+            db.close()
+        return cut.steps, bals, set(actions.values())
+
+    def test_steps_of_each_path(self, tmp_path, monkeypatch):
+        steps, _, _ = self.run(tmp_path / "two", monkeypatch, None,
+                               write_a=True)
+        assert steps == self.TWO_WRITERS
+        steps, _, _ = self.run(tmp_path / "one", monkeypatch, None,
+                               write_a=False)
+        assert steps == self.ONE_WRITER
+
+    @pytest.mark.parametrize("at", range(1, len(TWO_WRITERS) + 1),
+                             ids=TWO_WRITERS)
+    def test_two_writer_crash(self, tmp_path, monkeypatch, at):
+        steps, bals, actions = self.run(tmp_path, monkeypatch, at,
+                                        write_a=True)
+        assert steps == self.TWO_WRITERS[:at]
+        if "decide" in steps:
+            assert bals == (1, 2)
+            assert actions <= {"committed"}
+        else:
+            assert bals == (100, 100)
+            assert actions == {"rolled back"}
+
+    @pytest.mark.parametrize("at", range(1, len(ONE_WRITER) + 1),
+                             ids=ONE_WRITER)
+    def test_one_writer_crash(self, tmp_path, monkeypatch, at):
+        """The writer's commit record is the commit point; a prepared
+        reader left behind rolls back."""
+        steps, bals, actions = self.run(tmp_path, monkeypatch, at,
+                                        write_a=False)
+        assert steps == self.ONE_WRITER[:at]
+        assert bals == ((100, 2) if "commit@s1" in steps else (100, 100))
+        assert actions <= {"rolled back"}
 
 
 class TestDeferrableRouting:
