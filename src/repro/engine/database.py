@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import weakref
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro.config import EngineConfig
@@ -19,7 +20,6 @@ from repro.mvcc.clog import CommitLog
 from repro.mvcc.snapshot import Snapshot
 from repro.mvcc.xid import XidAllocator
 from repro.obs import Observability, StatsView, install_counter_properties
-from repro.replication.wal import CommitRecord
 from repro.ssi.manager import SSIManager
 from repro.storage.buffer import BufferManager
 from repro.storage.relation import Relation
@@ -77,8 +77,9 @@ class Database:
         #: Prepared transactions by global identifier (section 7.1).
         self._prepared: Dict[str, Transaction] = {}
         self._next_session_id = 1
-        #: Logical WAL stream consumed by replication (section 7.2).
-        self.wal: List[CommitRecord] = []
+        #: Attached replicas (section 7.2), held weakly: a dropped
+        #: replica stops being fed.
+        self._replicas: List[weakref.ref] = []  # repro: guarded-by(ENGINE)
         #: Optional history recorder (repro.verify).
         self.recorder = None
         if self.config.record_history:
@@ -121,7 +122,6 @@ class Database:
         m.gauge("pages.missed").set_function(lambda: self.buffer.misses)
         m.gauge("locks.deadlocks").set_function(
             lambda: self.lockmgr.deadlocks_detected)
-        m.gauge("wal.records").set_function(lambda: len(self.wal))
         m.gauge("txns.active").set_function(lambda: len(self._active))
 
     # ------------------------------------------------------------------
@@ -305,20 +305,12 @@ class Database:
                 "txn.commit", txn.xid,
                 commit_seq=(txn.sxact.commit_seq
                             if txn.sxact is not None else None))
-        marker = False
-        if txn.wal_changes or not txn.read_only:
-            marker = self._snapshot_now_safe()
-            self.wal.append(CommitRecord(
-                xid=txn.xid, changes=list(txn.wal_changes),
-                safe_snapshot_marker=marker))
-            if self.obs.tracer is not None:
-                self.obs.tracer.emit("wal.ship", txn.xid,
-                                     changes=len(txn.wal_changes),
-                                     safe_snapshot_marker=marker)
+        if self._replicas and (txn.wal_changes or not txn.read_only):
+            self._ship(txn)
         if self.durability is not None:
             # Physical WAL: the commit is acknowledged once its frame
             # is durable (or, with synchronous_commit off, queued).
-            self.durability.on_commit(txn, marker)
+            self.durability.on_commit(txn)
         if self.recorder is not None:
             self.recorder.on_commit(txn.xid)
         if self.sanitizers is not None:
@@ -344,6 +336,29 @@ class Database:
             self.recorder.on_abort(txn.xid)
         if self.sanitizers is not None:
             self.sanitizers.on_txn_end(txn)
+
+    def _ship(self, txn: Transaction) -> None:
+        """Feed one commit to every live attached replica (section 7.2)."""
+        from repro.replication.replica import CommitRecord
+        replicas = [r for r in (ref() for ref in self._replicas)
+                    if r is not None]
+        self._replicas = [weakref.ref(r) for r in replicas]
+        if not replicas:
+            return
+        marker = self._snapshot_now_safe()
+        record = CommitRecord(txn.xid, list(txn.wal_changes), marker)
+        for replica in replicas:
+            replica.feed.append(record)
+        if self.obs.tracer is not None:
+            self.obs.tracer.emit("wal.ship", txn.xid,
+                                 changes=len(txn.wal_changes),
+                                 safe_snapshot_marker=marker)
+
+    def attach_replica(self, replica) -> bool:
+        """Feed ``replica`` every commit from now on; returns whether
+        a snapshot taken now (its base copy) is safe."""
+        self._replicas.append(weakref.ref(replica))
+        return self._snapshot_now_safe()
 
     def _snapshot_now_safe(self) -> bool:
         """Would a snapshot taken right now be safe? True when no

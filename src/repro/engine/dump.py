@@ -37,14 +37,6 @@ def _literal(value: Any) -> str:
     raise TypeError(f"cannot dump value of type {type(value).__name__}")
 
 
-def _index_kind(index) -> str:
-    if getattr(index, "spatial", False):
-        return "gist"
-    if not index.ordered:
-        return "hash"
-    return "btree"
-
-
 def dump_sql(db, *, session=None, deferrable: bool = True) -> List[str]:
     """Produce a consistent SQL script for the whole database.
 
@@ -68,7 +60,7 @@ def dump_sql(db, *, session=None, deferrable: bool = True) -> List[str]:
                 unique = "UNIQUE " if index.unique else ""
                 statements.append(
                     f"CREATE {unique}INDEX {index.name} ON {name} "
-                    f"({index.column}) USING {_index_kind(index).upper()}")
+                    f"({index.column}) USING {index.using.upper()}")
             for row in session.select(name):
                 cols = ", ".join(rel.columns)
                 values = ", ".join(_literal(row.get(c)) for c in rel.columns)

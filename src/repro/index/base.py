@@ -67,6 +67,8 @@ class IndexAM(abc.ABC):
     supports_predicate_locks: bool = True
     #: Whether the AM supports range scans (planner hint).
     ordered: bool = True
+    #: The access method's name in CREATE INDEX ... USING.
+    using: str = "btree"
     #: Whether the AM's key space is linearly ordered, making next-key
     #: locking applicable (B+-trees only).
     supports_key_locking: bool = False

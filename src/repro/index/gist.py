@@ -73,6 +73,7 @@ class GiSTIndex(IndexAM):
 
     supports_predicate_locks = True
     ordered = False
+    using = "gist"
     #: GiST has no linear key order: next-key locking cannot apply, so
     #: the engine always uses node (page) locking for this AM.
     supports_key_locking = False

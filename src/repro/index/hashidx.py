@@ -20,6 +20,7 @@ from repro.storage.tuple import TID
 class HashIndex(IndexAM):
     supports_predicate_locks = False
     ordered = False
+    using = "hash"
 
     def __init__(self, oid: int, name: str, column: str,
                  unique: bool = False) -> None:

@@ -42,7 +42,7 @@ kind                emitted when
 ``lock.grant``      a queued request is granted (``wait_ns``)
 ``lock.cancel``     a queued request is cancelled (owner aborted)
 ``buf.miss``        a buffer-cache miss
-``wal.ship``        a commit record enters the logical WAL stream
+``wal.ship``        a commit record is fed to the attached replicas
 ==================  =====================================================
 """
 

@@ -92,6 +92,14 @@ class ThreadedShardedDatabase:
                 IsolationLevel.READ_COMMITTED) -> "ThreadedShardedSession":
         return ThreadedShardedSession(self, default_isolation)
 
+    def attach_replicas(self) -> None:
+        """``ShardedDatabase.attach_replicas`` under each shard's latch."""
+        from repro.replication.replica import Replica
+        if self.sdb.replicas is None:
+            self.sdb.replicas = [
+                engine.run(Replica, engine.db, name=f"standby-s{i}")
+                for i, engine in enumerate(self.engines)]
+
     def close(self) -> None:
         self.workers.close()
         for engine in self.engines:

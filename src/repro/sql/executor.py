@@ -22,7 +22,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.engine import operators
 from repro.engine import predicate as P
 from repro.engine.isolation import IsolationLevel
-from repro.errors import UserError
+from repro.errors import ReproError, UserError
 from repro.locks.modes import LockMode
 from repro.sql import ast
 from repro.sql.lexer import SQLSyntaxError
@@ -752,13 +752,23 @@ class SQLSession:
         return out
 
     def _do_insert(self, stmt: ast.Insert) -> int:
-        count = 0
-        for values in stmt.rows:
-            row = {column: eval_expr(value, {})
-                   for column, value in zip(stmt.columns, values)}
-            self.session.insert(stmt.table, row)
-            count += 1
-        return count
+        rows = [{column: eval_expr(value, {})
+                 for column, value in zip(stmt.columns, values)}
+                for values in stmt.rows]
+        # Autocommit: the statement's rows commit or fail together.
+        atomic = len(rows) > 1 and not self.session.in_transaction()
+        if atomic:
+            self.session.begin()
+        try:
+            for row in rows:
+                self.session.insert(stmt.table, row)
+        except ReproError:
+            if atomic:
+                self.session.rollback()
+            raise
+        if atomic:
+            self.session.commit()
+        return len(rows)
 
     def _do_update(self, stmt: ast.Update) -> int:
         where = compile_condition(stmt.where)

@@ -8,11 +8,12 @@ the off path byte-identical to the in-memory engine). It owns:
   physiological redo entry (page/slot-addressed, logically idempotent)
   queued on the transaction;
 * **commit/prepare records** -- ``on_commit``/``on_prepare`` append one
-  WAL frame carrying the transaction's redo, its logical change stream
-  (replication parity), full page images for first-touch-after-
-  checkpoint pages (torn-page repair), and the SSI facts recovery
-  needs (commit_seq; for prepares: snapshot + persisted SIREAD locks,
-  the paper's section 7.1 state);
+  WAL frame carrying the transaction's redo, full page images for
+  first-touch-after-checkpoint pages (torn-page repair), and the SSI
+  facts recovery needs (commit_seq; for prepares: snapshot + persisted
+  SIREAD locks, the paper's section 7.1 state, plus the logical
+  changes a recovered prepared transaction ships to replicas when it
+  commits). Replicas are never fed from this log (repro.replication);
 * **the pageLSN rule** -- pages dirtied by a record are tracked with
   its LSN; any writeback (clock eviction or checkpoint) first flushes
   WAL through that LSN, then writes the page stamped with it;
@@ -27,7 +28,8 @@ the off path byte-identical to the in-memory engine). It owns:
   full-page-write tracker.
 
 WAL record kinds ("t" field): ``ddl``, ``commit``, ``prepare``,
-``cprep`` (commit prepared), ``aprep`` (rollback prepared). Redo
+``cprep`` (commit prepared), ``aprep`` (rollback prepared); older
+versions also wrote ``ch``/``m`` on commits, which recovery ignores. Redo
 entries: ``["i", oid, page, slot, data, xmin, cmin]`` inserts a row
 version; ``["m", oid, page, slot, xmax, cmax, next]`` stamps a
 deleter; ``fpw`` entries carry whole-page payloads. Aborts of ordinary
@@ -44,7 +46,6 @@ import threading
 from typing import Any, Dict, Optional, Set
 
 from repro.mvcc.clog import XidStatus
-from repro.replication.wal import CommitRecord
 from repro.storage.durable import pagefmt
 from repro.storage.durable.bufferpool import DirtyPageTable, PageKey
 from repro.storage.durable.io import DurableIO
@@ -57,10 +58,6 @@ STATUS_CHAR = {XidStatus.IN_PROGRESS: "I", XidStatus.COMMITTED: "C",
 CHAR_STATUS = {v: k for k, v in STATUS_CHAR.items()}
 #: old-serxid entries per serxid-table page.
 SERXID_PER_PAGE = 128
-
-INDEX_USING = {"BTreeIndex": "btree", "HashIndex": "hash",
-               "GiSTIndex": "gist"}
-
 
 def _jsonable_targets(targets) -> list:
     return sorted([list(t) for t in targets])
@@ -172,8 +169,7 @@ class DurabilityManager:
                       "table": table, "column": index.column,
                       "name": index.name,
                       "unique": 1 if index.unique else 0,
-                      "using": INDEX_USING.get(type(index).__name__,
-                                               "btree")})
+                      "using": index.using})
         self._flush()
 
     def on_drop_table(self, rel) -> None:
@@ -211,7 +207,7 @@ class DurabilityManager:
     # ------------------------------------------------------------------
     # transaction hooks
     # ------------------------------------------------------------------
-    def on_commit(self, txn, marker: bool) -> None:
+    def on_commit(self, txn) -> None:
         if self.replaying:
             return
         seq = txn.sxact.commit_seq if txn.sxact is not None else None
@@ -221,8 +217,7 @@ class DurabilityManager:
             lsn = self._append({"t": "cprep", "gid": txn.gid,
                                 "xid": txn.xid,
                                 "c": sorted(txn.live_xids()),
-                                "m": 1 if marker else 0, "seq": seq})
-            self._stamp_logical(txn, lsn)
+                                "seq": seq})
             if txn.wal_changes:
                 self._ack(txn, lsn)
             # A branch with no redo needs no synchronous flush: losing
@@ -234,20 +229,11 @@ class DurabilityManager:
             # aborted is indistinguishable from this commit.
             return
         record = self._txn_record(txn)
-        record.update({"t": "commit", "m": 1 if marker else 0, "seq": seq})
+        record.update({"t": "commit", "seq": seq})
         lsn = self._append(record)
-        self._stamp_logical(txn, lsn)
         self._mark_dirty(txn, lsn)
         self._ack(txn, lsn)
         self.maybe_auto_checkpoint()
-
-    def _stamp_logical(self, txn, lsn: int) -> None:
-        """Stamp the just-appended logical CommitRecord (replication
-        stream) with its physical LSN, giving replicas a durable
-        resume cursor."""
-        wal = self.db.wal
-        if wal and wal[-1].xid == txn.xid and wal[-1].lsn is None:
-            wal[-1].lsn = lsn
 
     def on_prepare(self, txn) -> None:
         """PREPARE TRANSACTION: durable before the vote is returned --
@@ -259,6 +245,7 @@ class DurabilityManager:
         record = self._txn_record(txn)
         record.update({
             "t": "prepare", "gid": txn.gid,
+            "ch": [list(ch) for ch in txn.wal_changes],
             "iso": txn.isolation.value, "ro": 1 if txn.read_only else 0,
             "snap": {"xmin": snap.xmin, "xmax": snap.xmax,
                      "xip": sorted(snap.xip)},
@@ -297,7 +284,6 @@ class DurabilityManager:
         record: Dict[str, Any] = {
             "xid": txn.xid, "c": live, "ab": aborted, "par": parents,
             "redo": list(txn.__dict__.get("_durable_redo", ())),
-            "ch": [list(ch) for ch in txn.wal_changes],
         }
         if self.cfg.full_page_writes:
             fpw = []
@@ -481,8 +467,7 @@ class DurabilityManager:
                     "oid": index.oid, "table": rel.name,
                     "column": index.column, "name": index.name,
                     "unique": 1 if index.unique else 0,
-                    "using": INDEX_USING.get(type(index).__name__,
-                                             "btree")})
+                    "using": index.using})
         indexes.sort(key=lambda i: i["oid"])
         prepared = []
         for gid in db.prepared_gids():

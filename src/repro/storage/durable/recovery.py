@@ -43,7 +43,6 @@ from repro.locks.modes import LockMode
 from repro.mvcc.clog import XidStatus
 from repro.mvcc.snapshot import Snapshot
 from repro.mvcc.xid import XidAllocator
-from repro.replication.wal import CommitRecord
 from repro.storage.durable import pagefmt
 from repro.storage.durable.manager import CHAR_STATUS, tuples_deep
 from repro.storage.durable.walfile import read_wal
@@ -144,32 +143,6 @@ class _PageState:
         entry[5] = 0
         entry[6] = nxt
         self.dirty = True
-
-
-def _commit_records(frames: List[Tuple[int, Dict[str, Any]]]
-                    ) -> List[CommitRecord]:
-    """The logical commit stream that replicas read, rebuilt from every
-    commit and commit-prepared frame in log order. It starts at the
-    beginning of the log, not at ``redo_lsn``: a replica attached after
-    recovery applies the list from its first record. A commit-prepared
-    frame takes its changes from the transaction's prepare frame."""
-    prepared: Dict[str, List[Any]] = {}
-    records: List[CommitRecord] = []
-    for lsn, rec in frames:
-        kind = rec.get("t")
-        if kind == "prepare":
-            prepared[rec["gid"]] = rec["ch"]
-        elif kind == "aprep":
-            prepared.pop(rec["gid"], None)
-        elif kind in ("commit", "cprep"):
-            changes = (rec["ch"] if kind == "commit"
-                       else prepared.pop(rec["gid"], None))
-            if changes is None:
-                continue
-            records.append(CommitRecord(
-                xid=rec["xid"], changes=[tuple(ch) for ch in changes],
-                safe_snapshot_marker=bool(rec["m"]), lsn=lsn))
-    return records
 
 
 def _replay(db, mgr, doc: Dict[str, Any]) -> Dict[str, Any]:
@@ -362,7 +335,6 @@ def _replay(db, mgr, doc: Dict[str, Any]) -> Dict[str, Any]:
             ckpt_prepared.pop(rec["gid"], None)
             db.clog.set_aborted(rec["ab"])
             max_xid = max(max_xid, rec["xid"])
-    db.wal.extend(_commit_records(frames))
 
     # ------------------------------------------------------------------
     # install heaps

@@ -1,10 +1,11 @@
-"""What a committed transaction leaves behind: the logical WAL shares
-the heap's row payloads instead of copying them, and stored rows share
-their column-name keys across separately parsed statements."""
+"""What a committed transaction leaves behind: the commit records
+shipped to an attached replica share the heap's row payloads instead
+of copying them, and stored rows share their column-name keys across
+separately parsed statements."""
 
 from repro.config import EngineConfig
 from repro.engine import Database
-from repro.replication import CommitRecord
+from repro.replication import CommitRecord, Replica
 from repro.sql import SQLSession
 
 
@@ -13,8 +14,9 @@ def make_db():
     sql = SQLSession(db.session())
     sql.execute("CREATE TABLE accounts (account_id INT PRIMARY KEY, "
                 "balance INT)")
+    replica = Replica(db)  # its feed holds every later commit record
     sql.execute("INSERT INTO accounts (account_id, balance) VALUES (1, 10)")
-    return db, sql
+    return db, sql, replica
 
 
 def versions(db):
@@ -26,12 +28,12 @@ def test_commit_record_is_slotted():
 
 
 def test_wal_rows_are_the_heap_payloads():
-    db, sql = make_db()
-    insert = db.wal[-1].changes[0]
-    old = versions(db)[db.wal[-1].xid]
+    db, sql, replica = make_db()
+    insert = replica.feed[-1].changes[0]
+    old = versions(db)[replica.feed[-1].xid]
     assert insert[3] is old.data
     sql.execute("UPDATE accounts SET balance = 11 WHERE account_id = 1")
-    record = db.wal[-1]
+    record = replica.feed[-1]
     kind, rel, before, after = record.changes[0]
     assert (kind, rel) == ("update", "accounts")
     new = versions(db)[record.xid]
@@ -40,12 +42,12 @@ def test_wal_rows_are_the_heap_payloads():
     assert after == {"account_id": 1, "balance": 11}
     assert before == {"account_id": 1, "balance": 10}
     sql.execute("DELETE FROM accounts WHERE account_id = 1")
-    assert db.wal[-1].changes[0][2] is new.data
+    assert replica.feed[-1].changes[0][2] is new.data
 
 
 def test_mutating_a_select_result_changes_neither_heap_nor_wal():
-    db, sql = make_db()
-    (insert,) = db.wal[-1].changes
+    db, sql, replica = make_db()
+    (insert,) = replica.feed[-1].changes
     rows = sql.execute("SELECT * FROM accounts")
     rows[0]["balance"] = 999
     rows[0]["extra"] = 1
@@ -59,7 +61,7 @@ def test_mutating_a_select_result_changes_neither_heap_nor_wal():
 
 
 def test_separately_parsed_inserts_share_column_name_keys():
-    db, sql = make_db()
+    db, sql, replica = make_db()
     sql.execute("INSERT INTO accounts (account_id, balance) VALUES (2, 20)")
     first, second = sorted(db.relation("accounts").heap.scan(),
                            key=lambda t: t.data["account_id"])

@@ -243,13 +243,6 @@ class TestCleanRoundTrip:
         assert rec.session().select("t") == [{"k": 1}]
         rec.close()
 
-    def test_logical_wal_carries_physical_lsn(self, tmp_path):
-        db = small_db(tmp_path)
-        lsns = [r.lsn for r in db.wal if r.lsn is not None]
-        assert lsns, "commit records must be stamped with their LSN"
-        assert lsns == sorted(lsns)
-        db.close()
-
     def test_auto_checkpoint_triggers_on_wal_volume(self, tmp_path):
         db = small_db(tmp_path, checkpoint_wal_bytes=500)
         before = db.durability.checkpoints
@@ -263,6 +256,60 @@ class TestCleanRoundTrip:
 # ---------------------------------------------------------------------------
 # torn-page corruption property (satellite 3)
 # ---------------------------------------------------------------------------
+class TestCommitFrames:
+    """The physical WAL carries only what recovery needs: replicas are
+    fed by the master while attached, not from wal.log."""
+
+    def test_commit_frames_carry_no_logical_changes(self, tmp_path):
+        db = small_db(tmp_path)
+        s = db.session()
+        s.update("t", Eq("k", 1), {"v": 11})
+        p = db.session()
+        p.begin(IsolationLevel.SERIALIZABLE)
+        p.insert("t", {"k": 50, "v": 0})
+        p.prepare_transaction("g1")
+        db.commit_prepared("g1")
+        db.close()
+        frames, _ = read_wal(str(tmp_path / "wal.log"))
+        kinds = [rec["t"] for _lsn, rec in frames]
+        assert {"commit", "prepare", "cprep"} <= set(kinds)
+        for _lsn, rec in frames:
+            if rec["t"] in ("commit", "cprep"):
+                assert "ch" not in rec and "m" not in rec, rec
+        # A recovered prepared transaction still ships its changes at
+        # COMMIT PREPARED, so its prepare frame keeps them.
+        (prepare,) = [rec for _lsn, rec in frames if rec["t"] == "prepare"]
+        assert prepare["ch"] == [["insert", "t", None, {"k": 50, "v": 0}]]
+
+    def test_commit_frames_with_logical_changes_still_recover(self,
+                                                              tmp_path):
+        """A wal.log written by an older version, whose commit frames
+        still carry ``ch`` and ``m``, opens to the rows its redo holds:
+        recovery ignores both keys. The injected ``ch`` names a row no
+        commit wrote, so reading it would show up in the table or in a
+        replica's base copy."""
+        from repro.replication import Replica
+        from repro.storage.durable.walfile import encode_frame
+        db = small_db(tmp_path)
+        db.session().delete("t", Eq("k", 2))
+        expected = sorted(r["k"] for r in db.session().select("t"))
+        del db  # kill: the only checkpoint is the initial one (redo 0)
+        wal_path = str(tmp_path / "wal.log")
+        frames, _ = read_wal(wal_path)
+        with open(wal_path, "wb") as fh:
+            for _lsn, rec in frames:
+                if rec["t"] == "commit":
+                    rec["ch"] = [["insert", "t", None, {"k": -1, "v": -1}]]
+                    rec["m"] = 1
+                fh.write(encode_frame(rec))
+        rec_db = open_database(str(tmp_path), cfg_for(tmp_path))
+        assert sorted(r["k"] for r in rec_db.session().select("t")) == \
+            expected
+        replica = Replica(rec_db)
+        assert sorted(r["k"] for r in replica.query("t")) == expected
+        rec_db.close()
+
+
 class TestCorruptionDetection:
     def corrupt_and_open(self, tmp_path, offset):
         db = small_db(tmp_path)
@@ -378,14 +425,16 @@ class TestCheckpointConcurrency:
         def writeback(key, lsn):
             orig(key, lsn)
             if not fired:
-                fired.append(key)
+                # The commit's frame starts at the current WAL end.
+                fired.append(mgr.wal.end_lsn)
                 db.session().insert("t", {"k": 100, "v": 1})
+                assert mgr.wal.end_lsn > fired[0]
 
         mgr.pool._writeback = writeback
         doc = mgr.checkpoint()
         assert fired, "writeback hook never ran: no dirty pages?"
         mgr.pool._writeback = orig
-        commit_lsn = max(r.lsn for r in db.wal if r.lsn is not None)
+        commit_lsn = fired[0]
         assert doc["redo_lsn"] <= commit_lsn, \
             "redo_lsn past a commit that landed mid-checkpoint"
         del db  # kill without close: only the checkpoint + WAL survive

@@ -1,15 +1,17 @@
 """Streaming replication and safe snapshots on replicas (section 7.2)."""
 
+import gc
 import threading
 import time
+import weakref
 
 import pytest
 
 from repro.config import DurabilityConfig, EngineConfig
-from repro.engine import Database, Eq, IsolationLevel
+from repro.engine import Database, Eq, Func, IsolationLevel
 from repro.errors import (FeatureNotSupportedError, RetryableError,
                           StatementTimeout)
-from repro.replication import Replica, ReplicaReadMode
+from repro.replication import CommitRecord, Replica, ReplicaReadMode
 from repro.storage.durable import open_database
 
 SER = IsolationLevel.SERIALIZABLE
@@ -74,6 +76,98 @@ class TestLogShipping:
         assert replica.catch_up() == 1
 
 
+def commit_records_alive() -> int:
+    gc.collect()
+    return sum(1 for obj in gc.get_objects()
+               if isinstance(obj, CommitRecord))
+
+
+class TestFeed:
+    """The master builds commit records only for attached replicas,
+    and holds those replicas weakly."""
+
+    def test_no_commit_record_without_a_replica(self, master):
+        before = commit_records_alive()
+        s = master.session()
+        for rid in range(500):
+            s.insert("receipts", {"rid": rid, "batch": 1, "amount": rid})
+        assert commit_records_alive() == before
+
+    def test_dropped_replica_stops_being_fed(self, master):
+        replica = Replica(master)
+        s = master.session()
+        s.insert("receipts", {"rid": 1, "batch": 1, "amount": 5})
+        assert len(replica.feed) == 1
+        ref = weakref.ref(replica)
+        del replica
+        gc.collect()
+        assert ref() is None
+        before = commit_records_alive()
+        for rid in range(2, 50):
+            s.insert("receipts", {"rid": rid, "batch": 1, "amount": rid})
+        assert commit_records_alive() == before
+        gauge = master.obs.metrics.gauge("replica.safe_snapshot_lag",
+                                         replica="standby")
+        assert gauge.read() == 0
+
+    def test_attach_copies_committed_rows_only(self, master):
+        """The base copy is one master snapshot; a transaction open at
+        attach reaches the replica through the feed, once."""
+        open_txn = master.session()
+        open_txn.begin(SER)
+        open_txn.insert("receipts", {"rid": 7, "batch": 1, "amount": 7})
+        replica = Replica(master)
+        assert replica.query("receipts") == []
+        assert replica.query("control") == [{"id": 0, "batch": 1}]
+        open_txn.commit()
+        assert replica.catch_up() == 1
+        assert replica.query("receipts") == [
+            {"rid": 7, "batch": 1, "amount": 7}]
+
+
+class TestKeylessTables:
+    """Changes apply as each commit's net change over multisets of
+    whole rows: on a table without a key, one change's new row can
+    equal another change's old row."""
+
+    def test_update_chain_does_not_diverge(self):
+        from repro.sql import SQLSession
+        db = Database(EngineConfig())
+        sql = SQLSession(db.session())
+        sql.execute("CREATE TABLE counters (v INT)")
+        replica = Replica(db)
+        sql.execute("INSERT INTO counters (v) VALUES (1), (2)")
+        sql.execute("UPDATE counters SET v = v + 1")
+        replica.catch_up()
+        master_rows = sorted(r["v"] for r in db.session().select("counters"))
+        assert master_rows == [2, 3]
+        assert sorted(r["v"] for r in replica.query("counters")) == \
+            master_rows
+
+    def test_removes_exactly_the_copies_a_commit_removed(self):
+        db = Database(EngineConfig())
+        db.create_table("counters", ["v"])
+        s = db.session()
+        s.begin()
+        s.insert("counters", {"v": 1})
+        s.insert("counters", {"v": 1})
+        s.commit()
+        replica = Replica(db)
+        first = []
+
+        def first_match(row):
+            # Matches only the first row version it is asked about (by
+            # identity): updates one of two identical rows.
+            if not first:
+                first.append(row)
+            return row is first[0]
+
+        s.update("counters", Func(first_match), {"v": 2})
+        replica.catch_up()
+        assert sorted(r["v"] for r in s.select("counters")) == [1, 2]
+        assert sorted(r["v"] for r in replica.query("counters")) == [1, 2]
+
+
 class TestReplicaOfRecoveredDatabase:
     def test_replica_sees_rows_committed_before_the_checkpoint(self,
                                                               tmp_path):
@@ -109,9 +203,21 @@ class TestReplicaOfRecoveredDatabase:
 
 class TestSafeSnapshotsOnReplica:
     def test_serializable_requires_safe_snapshot(self, master):
+        # Attach while a read/write serializable transaction is open:
+        # the base copy is then not a safe point.
+        rw = master.session()
+        rw.begin(SER)
+        rw.select("control", Eq("id", 0))
         replica = Replica(master)
         with pytest.raises(FeatureNotSupportedError):
             replica.query("control", mode=ReplicaReadMode.LATEST_SAFE)
+        rw.rollback()
+
+    def test_quiescent_attach_is_a_safe_point(self, master):
+        replica = Replica(master)
+        assert replica.has_safe_snapshot
+        assert replica.query("control", mode=ReplicaReadMode.LATEST_SAFE
+                             ) == [{"id": 0, "batch": 1}]
 
     def test_safe_marker_enables_serializable_reads(self, master):
         replica = Replica(master)
@@ -240,6 +346,7 @@ class TestWaitSafeMode:
         replica = Replica(db, name="standby-1")
         gauge = db.obs.metrics.gauge("replica.safe_snapshot_lag",
                                      replica="standby-1")
+        db.session().insert("control", {"id": 2, "batch": 0})  # unsafe
         replica.catch_up()
         assert gauge.read() == replica.safe_snapshot_lag > 0
         hog.commit()

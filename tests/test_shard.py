@@ -538,8 +538,8 @@ class TestDeferrableRouting:
     def make(self):
         sdb = make_db()
         sdb.attach_replicas()
-        # Autocommit loading above went master-side; ship it, and give
-        # every shard a safe snapshot (no serializable txn is active).
+        # The base copies hold the loaded rows and are safe points (no
+        # serializable txn is active); refreshing applies nothing new.
         sdb.refresh_replicas()
         return sdb
 
@@ -565,6 +565,30 @@ class TestDeferrableRouting:
             sdb.session(SER).begin(SER, deferrable=True)
         with pytest.raises(FeatureNotSupportedError):
             sdb.session(SER).begin(RR, read_only=True, deferrable=True)
+
+    def test_threaded_router_attaches_under_shard_latches(self,
+                                                           monkeypatch):
+        from repro.engine.database import Database
+        from repro.engine.latches import RANK_ENGINE, holds_rank
+        latched = []
+        attach = Database.attach_replica
+
+        def spy(db, replica):
+            latched.append(holds_rank(RANK_ENGINE))
+            return attach(db, replica)
+
+        monkeypatch.setattr(Database, "attach_replica", spy)
+        tdb = ThreadedShardedDatabase(make_db())
+        try:
+            tdb.attach_replicas()
+            assert latched == [True, True]
+            sess = tdb.session(SER)
+            sess.begin(SER, read_only=True, deferrable=True)
+            rows = sess.select("accounts")
+            assert sorted(r["id"] for r in rows) == list(range(8))
+            assert sess.commit()
+        finally:
+            tdb.close()
 
     def test_deferrable_needs_attached_replicas(self):
         sdb = make_db()

@@ -159,6 +159,21 @@ class TestExecution:
         with pytest.raises(UniqueViolationError):
             sql.execute("INSERT INTO t (k) VALUES (1)")
 
+    def test_autocommit_multirow_insert_is_atomic(self, sql, db):
+        sql.execute("CREATE TABLE u (k INT PRIMARY KEY, f TEXT)")
+        sql.execute("INSERT INTO u (k, f) VALUES (1, 'a')")
+        begins = db.stats.begins
+        with pytest.raises(UniqueViolationError):
+            sql.execute("INSERT INTO u (k, f) VALUES (4, 'd'), (1, 'dup')")
+        assert not sql.session.in_transaction()
+        assert [r["k"] for r in sql.execute("SELECT k FROM u")] == [1]
+        begins = db.stats.begins
+        assert sql.execute("INSERT INTO u (k, f) VALUES "
+                           "(2, 'b'), (3, 'c'), (5, 'e')") == 3
+        assert db.stats.begins == begins + 1
+        assert sorted(r["k"] for r in sql.execute("SELECT k FROM u")) == \
+            [1, 2, 3, 5]
+
     def test_transactions_and_savepoints(self, sql):
         sql.execute("CREATE TABLE t (k INT PRIMARY KEY)")
         sql.execute("BEGIN ISOLATION LEVEL SERIALIZABLE")
