@@ -37,7 +37,7 @@ from repro.locks.modes import LockMode
 from repro.mvcc.visibility import ALL_VISIBLE, tuple_visibility
 from repro.mvcc.xid import INVALID_XID
 from repro.storage.relation import Relation
-from repro.storage.tuple import HeapTuple
+from repro.storage.tuple import HeapTuple, VersionRows
 from repro.waits import YIELD
 
 Updates = Union[Dict[str, Any], Callable[[Dict[str, Any]], Dict[str, Any]]]
@@ -315,11 +315,12 @@ class Executor:
     def scan_rows_gen(self, txn: Transaction, rel_name: str,
                       pred: Predicate) -> Iterator:
         """Like select_gen but returns the live heap row dicts without
-        copying (the SQL layer's read path). Callers must treat the
-        rows as read-only views that do not outlive the statement."""
+        copying (the SQL layer's read path), as a VersionRows that also
+        carries the tuples they belong to. Callers must treat the rows
+        as read-only views that do not outlive the statement."""
         rel = self.db.relation(rel_name)
         tuples = yield from self._scan(txn, rel, pred)
-        return [t.data for t in tuples]
+        return VersionRows([t.data for t in tuples], tuples)
 
     def scan_aggregate_gen(self, txn: Transaction, rel_name: str,
                            pred: Predicate, specs) -> Iterator:

@@ -190,7 +190,8 @@ class Session:
         mutate them or hold them across statements -- copy with
         ``dict(row)`` for anything longer-lived. The SQL layer reads
         through this, so no statement pays a per-row dict copy it
-        does not need.
+        does not need. The list is a VersionRows: its ``versions``
+        are the tuples the rows belong to.
         """
         pred = where or AlwaysTrue()
         return self._statement(

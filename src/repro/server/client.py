@@ -140,10 +140,14 @@ class ReproClient:
         request_id = self._next_id
         payload = dict(payload, id=request_id)
         self._sock.sendall(protocol.encode_frame(payload))
-        line = self._rfile.readline(protocol.MAX_FRAME_BYTES + 2)
+        # A response line has no size cap (MAX_FRAME_BYTES bounds what
+        # the server accepts): reading only part of it would leave the
+        # rest in the buffer as the "response" to the next request.
+        line = self._rfile.readline()
         if not line:
             raise OSError("server closed the connection")
-        response = protocol.decode_frame(line.rstrip(b"\r\n"))
+        response = protocol.decode_frame(line.rstrip(b"\r\n"),
+                                         max_bytes=None)
         self.txn = response.get("txn", self.txn)
         rid = response.get("id")
         if rid is not None and rid != request_id:

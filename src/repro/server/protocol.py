@@ -34,6 +34,7 @@ import json
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ProtocolError, ReproError
+from repro.storage.tuple import HeapTuple, VersionRows
 
 #: Protocol revision, reported in the hello response.
 WIRE_VERSION = 1
@@ -50,16 +51,39 @@ OPS = ("hello", "sql", "ping", "close")
 # framing
 # ----------------------------------------------------------------------
 def encode_frame(payload: Dict[str, Any]) -> bytes:
-    """One JSON object, newline-terminated."""
-    return (json.dumps(payload, separators=(",", ":"), default=_fallback)
-            + "\n").encode("utf-8")
+    """One JSON object, newline-terminated.
+
+    A ``result`` that is a :class:`VersionRows` (a single-table
+    ``SELECT *``) is written as its versions' cached texts joined into
+    one array (:func:`version_text`); the bytes are the same as
+    encoding the row dicts.
+    """
+    result = payload.get("result")
+    if isinstance(result, VersionRows):
+        # Encode the frame with a marker string in place of the rows,
+        # then put the array where the marker is. A marker that occurs
+        # twice (a client may send it as its request id) cannot be
+        # told apart, so that frame is encoded whole.
+        marked = payload.copy()
+        marked["result"] = _ROWS
+        head, _, tail = _dumps(marked).partition(_ROWS_JSON)
+        if _ROWS_JSON not in tail:
+            rows = b",".join([version_text(t) for t in result.versions])
+            return (head.encode("utf-8") + b"[" + rows + b"]"
+                    + tail.encode("utf-8") + b"\n")
+    return (_dumps(payload) + "\n").encode("utf-8")
 
 
-def decode_frame(line: bytes) -> Dict[str, Any]:
-    """Parse one received line; raises ProtocolError on garbage."""
-    if len(line) > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"frame exceeds {MAX_FRAME_BYTES} bytes")
+def decode_frame(line: bytes,
+                 max_bytes: Optional[int] = MAX_FRAME_BYTES
+                 ) -> Dict[str, Any]:
+    """Parse one received line; raises ProtocolError on garbage.
+
+    ``max_bytes`` caps what a server accepts from a client; the client
+    reads responses of any length and passes None.
+    """
+    if max_bytes is not None and len(line) > max_bytes:
+        raise ProtocolError(f"frame exceeds {max_bytes} bytes")
     try:
         payload = json.loads(line.decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
@@ -78,7 +102,7 @@ def request_op(payload: Dict[str, Any]) -> Tuple[Any, str]:
 
 
 # ----------------------------------------------------------------------
-# result serialization
+# result serialization: the one JSON configuration for frames and rows
 # ----------------------------------------------------------------------
 def _fallback(value: Any) -> Any:
     """json.dumps fallback for engine objects that cross the wire
@@ -89,6 +113,27 @@ def _fallback(value: Any) -> Any:
     if isinstance(value, tuple):
         return list(value)
     return repr(value)
+
+
+#: ``json.dumps(value, separators=(",", ":"), default=_fallback)``,
+#: without building an encoder per call.
+_dumps = json.JSONEncoder(separators=(",", ":"), default=_fallback).encode
+
+
+#: Stands in for a VersionRows result while the rest of its frame is
+#: encoded (see encode_frame).
+_ROWS = "\x00rows"
+_ROWS_JSON = _dumps(_ROWS)
+
+
+def version_text(tup: HeapTuple) -> bytes:
+    """A row version's compact JSON, encoded on its first send and
+    cached on the tuple (its payload never changes). Runs outside the
+    engine latch: two threads may both fill it, with equal bytes."""
+    text = tup.text
+    if text is None:
+        text = tup.text = _dumps(tup.data).encode("utf-8")
+    return text
 
 
 # ----------------------------------------------------------------------

@@ -27,6 +27,7 @@ from repro.locks.modes import LockMode
 from repro.sql import ast
 from repro.sql.lexer import SQLSyntaxError
 from repro.sql.parser import parse
+from repro.storage.tuple import VersionRows
 
 #: Parse-cache capacity (statement strings per session).
 PARSE_CACHE_SIZE = 256
@@ -495,6 +496,19 @@ class SQLSession:
             if stmt.limit is not None:
                 grouped = grouped[:stmt.limit]
             return grouped
+        star = all(item.kind == "star" for item in stmt.items)
+        if star and isinstance(rows, VersionRows):
+            # Single-table SELECT *: order and cut the versions, so the
+            # result keeps each row's version and the server can send
+            # its cached text (repro.server.protocol.encode_frame).
+            versions = rows.versions
+            if stmt.order_by is not None:
+                key = _order_key(stmt.order_by)
+                versions = sorted(versions, key=lambda t: key(t.data),
+                                  reverse=stmt.descending)
+            if stmt.limit is not None:
+                versions = versions[:stmt.limit]
+            return VersionRows([dict(t.data) for t in versions], versions)
         if stmt.order_by is not None:
             rows.sort(key=_order_key(stmt.order_by),
                       reverse=stmt.descending)
@@ -502,7 +516,7 @@ class SQLSession:
             return [self._aggregate_row(stmt.items, rows)]
         if stmt.limit is not None:
             rows = rows[:stmt.limit]
-        if all(item.kind == "star" for item in stmt.items):
+        if star:
             return rows if copied else [dict(r) for r in rows]
         projected = []
         for row in rows:

@@ -347,9 +347,9 @@ class DurabilityManager:
                 del self.acked[xid]
 
     def _ack(self, txn, lsn: int) -> None:
-        self.acked[txn.xid] = self.wal.end_lsn
+        need = self.acked[txn.xid] = self.wal.end_lsn
         if self.cfg.synchronous_commit:
-            self._flush()
+            self._flush(need)
 
     def drain(self) -> None:
         """Make every acknowledged commit durable (server stop(), clean

@@ -14,8 +14,8 @@ internal condition variable; the in-flight leader's fsync covers every
 frame appended before it ran, so followers usually wake already
 durable. One fsync amortizes over the whole batch -- the classic
 PostgreSQL commit_delay-free group commit. With ``group_commit=False``
-every committer performs its own serialized fsync (the ablation the
-throughput bench measures).
+every committer whose record is not durable when it asks performs its
+own serialized fsync (the ablation the throughput bench measures).
 
 Torn tails: a crash mid-append leaves a frame with a short body or a
 CRC mismatch at the end of the file. :func:`read_wal` stops cleanly at
@@ -127,26 +127,21 @@ class WALFile:
     def flush(self, upto: Optional[int] = None) -> None:
         """Make WAL through ``upto`` (default: everything appended so
         far) durable. Group commit: at most one fsync in flight; late
-        arrivals ride on it or lead the next batch."""
+        arrivals ride on it or lead the next batch. Without it, a
+        flush whose target is not durable on entry waits for the
+        fsync in flight and then issues its own, which is credited
+        with its own target only: no flush rides on another's."""
         with self._cv:
             target = self._end if upto is None else upto
-            rode_along = False
-            while True:
-                if self._durable >= target:
-                    if rode_along:
-                        self.piggybacked += 1
+            if self._durable >= target:
+                return
+            while self._flushing:
+                self._cv.wait()
+                if self.group_commit and self._durable >= target:
+                    self.piggybacked += 1
                     return
-                if self._flushing and self.group_commit:
-                    rode_along = True
-                    self._cv.wait()
-                    continue
-                if self._flushing:
-                    # group commit off: serialize, then fsync ourselves
-                    self._cv.wait()
-                    continue
-                self._flushing = True
-                end = self._end
-                break
+            self._flushing = True
+            end = self._end if self.group_commit else target
         ok = False
         try:
             self.io.fsync(self._f, self.path)

@@ -158,7 +158,8 @@ class Heap:
                                   xmin_committed=tup.xmin_committed,
                                   xmin_aborted=tup.xmin_aborted,
                                   xmax_committed=tup.xmax_committed,
-                                  xmax_aborted=tup.xmax_aborted)
+                                  xmax_aborted=tup.xmax_aborted,
+                                  text=tup.text)
                 slot = page.add(moved)
                 moved.tid = TID(page.page_no, slot)
         return new

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, NamedTuple, Optional
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional
 
 from repro.mvcc.xid import INVALID_XID
 
@@ -37,6 +37,13 @@ class HeapTuple:
     only once the corresponding status can never change again, so a
     set bit always agrees with the commit log -- and they are reset
     whenever xmax is restamped.
+
+    ``text`` caches the version's compact JSON (the bytes the server
+    sends for it in a ``SELECT *`` frame; see
+    ``repro.server.protocol.version_text``). It is filled the first
+    time the version is sent and never invalidated: ``data`` never
+    changes once the version is written -- an UPDATE makes a new
+    version -- so the text lives exactly as long as the version.
     """
 
     tid: TID
@@ -52,6 +59,8 @@ class HeapTuple:
     xmin_aborted: bool = False
     xmax_committed: bool = False
     xmax_aborted: bool = False
+    # -- wire text cache (filled on first send, never invalidated) ------
+    text: Optional[bytes] = None
 
     def set_deleter(self, xid: int, cid: int, *, lock_only: bool = False) -> None:
         self.xmax = xid
@@ -70,3 +79,21 @@ class HeapTuple:
         self.next_tid = None
         self.xmax_committed = False
         self.xmax_aborted = False
+
+
+class VersionRows(list):
+    """Row dicts read from one heap, with the versions they came from.
+
+    ``versions[i]`` is the heap tuple whose ``data`` row ``i`` was read
+    from (the dict itself or a copy of it). A scan returns this shape,
+    and a single-table ``SELECT *`` keeps it, so the server can send
+    each version's cached ``text`` instead of encoding the row again.
+    Everything else treats it as the plain list it is.
+    """
+
+    __slots__ = ("versions",)
+
+    def __init__(self, rows: Iterable[Dict[str, Any]],
+                 versions: List[HeapTuple]) -> None:
+        super().__init__(rows)
+        self.versions = versions

@@ -10,6 +10,7 @@ lost by a graceful stop).
 """
 
 import os
+import threading
 import time
 
 import pytest
@@ -20,7 +21,7 @@ from repro.errors import DataCorruptionError, UniqueViolationError
 from repro.server import ReproServer, ServerConfig, connect
 from repro.storage.durable import open_database, pagefmt
 from repro.storage.durable.bufferpool import DirtyPageTable
-from repro.storage.durable.walfile import WALFile, read_wal
+from repro.storage.durable.walfile import WALFile, encode_frame, read_wal
 from repro.storage.durable.io import DurableIO
 from repro.analysis.sanitize.durable_check import DurableSanitizer
 from repro.analysis.sanitize.violations import SanitizerViolation
@@ -143,6 +144,42 @@ class TestWALFile:
         wal.flush(first)   # already durable: no extra fsync
         assert wal.flushes == flushes
         wal.close()
+
+    @staticmethod
+    def concurrent_commits(tmp_path, group_commit, threads=8, commits=25):
+        """``threads`` committers, each appending a record and flushing
+        through its end ``commits`` times; a modeled 1 ms fsync keeps
+        flushes overlapping."""
+        wal = WALFile(str(tmp_path / "wal.log"),
+                      DurableIO(fsync=False, flush_latency=0.001),
+                      group_commit=group_commit)
+
+        def committer(i):
+            for j in range(commits):
+                record = {"t": "commit", "xid": i * commits + j}
+                lsn = wal.append(record)
+                wal.flush(lsn + len(encode_frame(record)))
+
+        workers = [threading.Thread(target=committer, args=(i,))
+                   for i in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join()
+        assert wal.durable_lsn <= wal.end_lsn
+        wal.close()
+        return wal
+
+    def test_group_commit_off_fsyncs_every_commit(self, tmp_path):
+        wal = self.concurrent_commits(tmp_path, group_commit=False)
+        assert wal.flushes == wal.records == 200
+        assert wal.piggybacked == 0
+
+    def test_group_commit_on_batches(self, tmp_path):
+        wal = self.concurrent_commits(tmp_path, group_commit=True)
+        assert wal.records == 200
+        assert wal.flushes < 200
+        assert wal.piggybacked > 0
 
 
 # ---------------------------------------------------------------------------
